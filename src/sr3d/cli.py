@@ -10,6 +10,7 @@ blow-up / shooting non-convergence, 6 certification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
@@ -301,6 +302,10 @@ def _parse_covector(raw: str) -> tuple[float, float, float]:
 
 
 def cmd_geodesic(args) -> int:
+    if args.steps < 1:
+        raise StructureParseError(f"--steps must be >= 1, got {args.steps}")
+    if not math.isfinite(args.time):
+        raise StructureParseError(f"--time must be finite, got {args.time}")
     model = build_model(args.model)
     h1, h2, h0 = _parse_covector(args.covector)
     initial = GeodesicState(model.identity, h1, h2, h0)

@@ -12,6 +12,15 @@ quaternion) realization of the group.  Both are integrated jointly with
 fixed-step classical Runge-Kutta; no adaptive stepping, so the order-4
 convergence is directly testable.
 
+:func:`vertical_rhs` is the only place the covector equations live; it
+works on floats and broadcasts over arrays.  One path at a time (a batch of
+one: :func:`integrate_geodesic` and the shooting refinement) runs on plain
+Python floats through :func:`_rk4_step`, whose state is a flat list of the
+group element's entries followed by the covector, because on 2x2, 3x3 and
+quaternion states numpy's per-call dispatch costs more than the arithmetic.
+The shooting grid runs many paths at once on numpy arrays in
+:func:`_batched_endpoints`.
+
 Four models are provided: the 3x3 unipotent realization of the Heisenberg
 group, the 3x3 affine realization of A+(R) x R, SL(2) as 2x2 matrices, and
 SU(2) as unit quaternions (kept in real arithmetic on purpose).
@@ -21,7 +30,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from typing import IO, List, Sequence, Tuple
 
 import numpy as np
@@ -40,9 +50,9 @@ class IntegrationBlowUpError(RuntimeError):
 
 
 def quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Hamilton product of quaternions stored as (w, x, y, z)."""
-    w1, x1, y1, z1 = p
-    w2, x2, y2, z2 = q
+    """Hamilton product of quaternions stored as (w, x, y, z) on the last axis."""
+    w1, x1, y1, z1 = np.asarray(p).T
+    w2, x2, y2, z2 = np.asarray(q).T
     return np.array(
         [
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
@@ -50,7 +60,7 @@ def quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
             w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
         ]
-    )
+    ).T
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,26 @@ class GroupModel:
     a2: np.ndarray
     a0: np.ndarray
     identity: np.ndarray
+    # (out, in, coef1, coef2): the nonzero terms of g -> g A1 and g -> g A2 on
+    # the flat entries of g, sorted by (out, in), for :func:`_rk4_step`.
+    _terms: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Read-only copies: ``_terms`` is derived from a1 and a2 and must not
+        # go stale.
+        for name in ("a1", "a2", "a0", "identity"):
+            v = np.array(getattr(self, name), dtype=float)
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
+        size = self.identity.size
+        unit = np.eye(size).reshape((size,) + self.identity.shape)
+        l1, l2 = (np.array([self.mul(e, a).ravel() for e in unit]).T
+                  for a in (self.a1, self.a2))
+        object.__setattr__(self, "_terms", tuple(
+            (out, col, float(l1[out, col]), float(l2[out, col]))
+            for out in range(size) for col in range(size)
+            if l1[out, col] or l2[out, col]
+        ))
 
     def mul(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         if self.kind == "quaternion":
@@ -82,25 +112,19 @@ class GroupModel:
         return u1 * self.a1 + u2 * self.a2 + u0 * self.a0
 
     def group_defect(self, g: np.ndarray) -> float:
-        """Distance from the model's group manifold (structural, not projected)."""
+        """Largest distance from the model's group manifold over ``g`` or a
+        stack of elements (structural, not projected)."""
+        g = np.asarray(g)
         if self.id == "sl2":
-            return abs(float(np.linalg.det(g)) - 1.0)
+            return float(np.max(np.abs(np.linalg.det(g) - 1.0)))
         if self.id == "su2":
-            return abs(float(np.linalg.norm(g)) - 1.0)
+            return float(np.max(np.abs(np.linalg.norm(g, axis=-1) - 1.0)))
         if self.id == "heisenberg":
-            return float(
-                max(
-                    abs(g[0, 0] - 1), abs(g[1, 1] - 1), abs(g[2, 2] - 1),
-                    abs(g[1, 0]), abs(g[2, 0]), abs(g[2, 1]),
-                )
-            )
-        # a_plus_r: [[a, 0, b], [0, 1, c], [0, 0, 1]] with a > 0.
-        return float(
-            max(
-                abs(g[0, 1]), abs(g[1, 0]), abs(g[1, 1] - 1),
-                abs(g[2, 0]), abs(g[2, 1]), abs(g[2, 2] - 1),
-            )
-        )
+            rows, cols, want = (0, 1, 2, 1, 2, 2), (0, 1, 2, 0, 0, 1), (1, 1, 1, 0, 0, 0)
+        else:
+            # a_plus_r: [[a, 0, b], [0, 1, c], [0, 0, 1]] with a > 0.
+            rows, cols, want = (0, 1, 1, 2, 2, 2), (1, 0, 1, 0, 1, 2), (0, 0, 1, 0, 0, 1)
+        return float(np.max(np.abs(g[..., rows, cols] - want)))
 
 
 @dataclass(frozen=True)
@@ -232,6 +256,38 @@ class Trajectory:
         return float(np.max(np.abs(h - h[0])))
 
 
+def _rk4_step(terms, frame, state, dt):
+    """One classical RK4 step of the coupled system on plain floats.
+
+    ``state`` is a flat list: the group element's entries, then h1, h2, h0.
+    ``terms`` are the model's ``_terms``.  Returns the new state without
+    projecting or checking it.
+    """
+    size = len(state) - 3
+
+    def rhs(x):
+        h1, h2, h0 = x[size:]
+        dx = [0.0] * size
+        for out, col, c1, c2 in terms:
+            dx[out] += (c1 * h1 + c2 * h2) * x[col]
+        dx.extend(vertical_rhs(frame, h1, h2, h0))
+        return dx
+
+    half = 0.5 * dt
+    k1 = rhs(state)
+    k2 = rhs([x + half * k for x, k in zip(state, k1)])
+    k3 = rhs([x + half * k for x, k in zip(state, k2)])
+    k4 = rhs([x + dt * k for x, k in zip(state, k3)])
+    sixth = dt / 6.0
+    return [x + sixth * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
+
+
+def _unit_quaternion(state):
+    """Norm of the quaternion in ``state[:4]``, and the state with it unit."""
+    norm = math.sqrt(sum(x * x for x in state[:4]))
+    return norm, [x / norm for x in state[:4]] + state[4:]
+
+
 def integrate_geodesic(
     model: GroupModel,
     frame: AdaptedFrame,
@@ -247,40 +303,26 @@ def integrate_geodesic(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    dt = t_final / steps
-    g = np.array(initial.g, dtype=float)
-    h = np.array([initial.h1, initial.h2, initial.h0], dtype=float)
-
-    times = np.linspace(0.0, t_final, steps + 1)
-    covectors = np.empty((steps + 1, 3))
-    elements = np.empty((steps + 1,) + g.shape)
-    covectors[0] = h
-    elements[0] = g
-    max_defect = model.group_defect(g)
+    dt = float(t_final) / steps
+    g0 = np.array(initial.g, dtype=float)
+    state = g0.ravel().tolist() + [float(initial.h1), float(initial.h2), float(initial.h0)]
+    flat = array("d", state)
+    max_defect = model.group_defect(g0)
     quaternion = model.kind == "quaternion"
-
-    def rhs(gc, hc):
-        dg = model.mul(gc, hc[0] * model.a1 + hc[1] * model.a2)
-        dh = np.array(vertical_rhs(frame, hc[0], hc[1], hc[2]))
-        return dg, dh
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(steps):
-            k1g, k1h = rhs(g, h)
-            k2g, k2h = rhs(g + 0.5 * dt * k1g, h + 0.5 * dt * k1h)
-            k3g, k3h = rhs(g + 0.5 * dt * k2g, h + 0.5 * dt * k2h)
-            k4g, k4h = rhs(g + dt * k3g, h + dt * k3h)
-            g = g + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
-            h = h + (dt / 6.0) * (k1h + 2 * k2h + 2 * k3h + k4h)
-            if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
-                raise IntegrationBlowUpError(n + 1)
-            max_defect = max(max_defect, model.group_defect(g))
-            if quaternion:
-                g = g / np.linalg.norm(g)
-            covectors[n + 1] = h
-            elements[n + 1] = g
-
-    return Trajectory(model.id, times, covectors, elements, max_defect)
+    for n in range(steps):
+        state = _rk4_step(model._terms, frame, state, dt)
+        if not all(map(math.isfinite, state)):
+            raise IntegrationBlowUpError(n + 1)
+        if quaternion:
+            norm, state = _unit_quaternion(state)
+            max_defect = max(max_defect, abs(norm - 1.0))
+        flat.extend(state)
+    states = np.frombuffer(flat).reshape(steps + 1, -1)
+    elements = states[:, :-3].reshape((steps + 1,) + g0.shape)
+    if not quaternion:
+        max_defect = model.group_defect(elements)
+    times = np.linspace(0.0, t_final, steps + 1)
+    return Trajectory(model.id, times, states[:, -3:], elements, max_defect)
 
 
 def integrate_controls(
@@ -301,7 +343,7 @@ def integrate_controls(
     g = np.array(model.identity, dtype=float)
     quaternion = model.kind == "quaternion"
     with np.errstate(over="ignore", invalid="ignore"):
-        for u1, u2, u0 in controls:
+        for segment, (u1, u2, u0) in enumerate(controls):
             m = model.combo(u1, u2, u0)
             dt = seg_t / seg_steps
             for n in range(seg_steps):
@@ -311,7 +353,7 @@ def integrate_controls(
                 k4 = model.mul(g + dt * k3, m)
                 g = g + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
                 if not np.all(np.isfinite(g)):
-                    raise IntegrationBlowUpError(n + 1)
+                    raise IntegrationBlowUpError(segment * seg_steps + n + 1)
                 if quaternion:
                     g = g / np.linalg.norm(g)
     return g
@@ -340,84 +382,39 @@ def _shoot_steps(t: float) -> int:
 
 def _shoot_endpoint(model, alpha, h0, t):
     """Endpoint only; no trajectory storage, for use inside optimizers."""
-    frame = model.frame
-    g = np.array(model.identity, dtype=float)
-    h = np.array([math.cos(alpha), math.sin(alpha), h0])
+    state = model.identity.ravel().tolist() + [math.cos(alpha), math.sin(alpha), float(h0)]
     steps = _shoot_steps(t)
-    dt = t / steps
+    dt = float(t) / steps
     quaternion = model.kind == "quaternion"
     for _ in range(steps):
-        k1g = model.mul(g, h[0] * model.a1 + h[1] * model.a2)
-        k1h = np.array(vertical_rhs(frame, h[0], h[1], h[2]))
-        g2, h2 = g + 0.5 * dt * k1g, h + 0.5 * dt * k1h
-        k2g = model.mul(g2, h2[0] * model.a1 + h2[1] * model.a2)
-        k2h = np.array(vertical_rhs(frame, h2[0], h2[1], h2[2]))
-        g3, h3 = g + 0.5 * dt * k2g, h + 0.5 * dt * k2h
-        k3g = model.mul(g3, h3[0] * model.a1 + h3[1] * model.a2)
-        k3h = np.array(vertical_rhs(frame, h3[0], h3[1], h3[2]))
-        g4, h4 = g + dt * k3g, h + dt * k3h
-        k4g = model.mul(g4, h4[0] * model.a1 + h4[1] * model.a2)
-        k4h = np.array(vertical_rhs(frame, h4[0], h4[1], h4[2]))
-        g = g + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
-        h = h + (dt / 6.0) * (k1h + 2 * k2h + 2 * k3h + k4h)
+        state = _rk4_step(model._terms, model.frame, state, dt)
         if quaternion:
-            g = g / np.linalg.norm(g)
-    return g
+            state = _unit_quaternion(state)[1]
+    return np.array(state[:-3]).reshape(model.identity.shape)
 
 
 def _batched_endpoints(model, alphas, h0s, t):
     """Endpoints for a whole batch of unit covectors at a common time t."""
     frame = model.frame
-    n = alphas.size
     h = np.column_stack([np.cos(alphas), np.sin(alphas), h0s])
-    if model.kind == "quaternion":
-        g = np.tile(model.identity, (n, 1))
+    g = np.tile(model.identity, (alphas.size,) + (1,) * model.identity.ndim)
+    quaternion = model.kind == "quaternion"
+    mul = quat_mul if quaternion else np.matmul
 
-        def mul(gs, ms):
-            w1, x1, y1, z1 = gs.T
-            w2, x2, y2, z2 = ms.T
-            return np.column_stack([
-                w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-                w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-                w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-                w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-            ])
-
-        def combo(hs):
-            return hs[:, :1] * model.a1 + hs[:, 1:2] * model.a2
-    else:
-        g = np.tile(model.identity, (n, 1, 1))
-
-        def mul(gs, ms):
-            return gs @ ms
-
-        def combo(hs):
-            return (
-                hs[:, 0, None, None] * model.a1 + hs[:, 1, None, None] * model.a2
-            )
-
-    def vertical(hs):
-        w = frame.c12_1 * hs[:, 0] + frame.c12_2 * hs[:, 1] + hs[:, 2]
-        return np.column_stack([
-            -w * hs[:, 1],
-            w * hs[:, 0],
-            -(frame.c01_1 * hs[:, 0] + frame.c01_2 * hs[:, 1]) * hs[:, 0]
-            - (frame.c02_1 * hs[:, 0] + frame.c02_2 * hs[:, 1]) * hs[:, 1],
-        ])
+    def rhs(gs, hs):
+        m = np.multiply.outer(hs[:, 0], model.a1) + np.multiply.outer(hs[:, 1], model.a2)
+        return mul(gs, m), np.column_stack(vertical_rhs(frame, *hs.T))
 
     steps = _shoot_steps(t)
     dt = t / steps
     for _ in range(steps):
-        k1g, k1h = mul(g, combo(h)), vertical(h)
-        g2, h2 = g + 0.5 * dt * k1g, h + 0.5 * dt * k1h
-        k2g, k2h = mul(g2, combo(h2)), vertical(h2)
-        g3, h3 = g + 0.5 * dt * k2g, h + 0.5 * dt * k2h
-        k3g, k3h = mul(g3, combo(h3)), vertical(h3)
-        g4, h4 = g + dt * k3g, h + dt * k3h
-        k4g, k4h = mul(g4, combo(h4)), vertical(h4)
+        k1g, k1h = rhs(g, h)
+        k2g, k2h = rhs(g + 0.5 * dt * k1g, h + 0.5 * dt * k1h)
+        k3g, k3h = rhs(g + 0.5 * dt * k2g, h + 0.5 * dt * k2h)
+        k4g, k4h = rhs(g + dt * k3g, h + dt * k3h)
         g = g + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
         h = h + (dt / 6.0) * (k1h + 2 * k2h + 2 * k3h + k4h)
-        if model.kind == "quaternion":
+        if quaternion:
             g = g / np.linalg.norm(g, axis=1, keepdims=True)
     return g
 

@@ -169,6 +169,15 @@ class TestGeodesicCommand:
         )
         assert code == EXIT_INTEGRATION
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--steps", "0"), ("--steps", "-3"), ("--time", "nan"), ("--time", "inf")],
+    )
+    def test_bad_steps_or_time_is_parse_error(self, capsys, flag, value):
+        assert main(["geodesic", "--model", "sl2", flag, value]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_zero_covector_constant_trajectory(self, capsys):
         code = main(
             ["geodesic", "--model", "sl2", "--covector", "0,0,0", "--json"]

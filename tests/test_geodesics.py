@@ -19,6 +19,7 @@ from sr3d.geodesics import (
     trajectory_to_csv,
     vertical_rhs,
 )
+from sr3d.geodesics import _batched_endpoints, _shoot_endpoint, _shoot_steps
 from sr3d.isometry import matrix_to_apoint, psi_of_apoint
 
 
@@ -171,7 +172,102 @@ class TestIntegration:
         assert err.value.step > 0
 
 
+def numpy_rk4(model, frame, cov, t_final, steps):
+    """Reference: classical RK4 on numpy arrays with the model's own products.
+
+    Returns (covectors, elements, max pre-projection group defect) and raises
+    IntegrationBlowUpError at the first non-finite step, like the library.
+    """
+    dt = t_final / steps
+    g = np.array(model.identity, dtype=float)
+    h = np.array(cov, dtype=float)
+    covectors, elements = [h], [g]
+    defect = model.group_defect(g)
+
+    def rhs(gc, hc):
+        dg = model.mul(gc, hc[0] * model.a1 + hc[1] * model.a2)
+        return dg, np.array(vertical_rhs(frame, hc[0], hc[1], hc[2]))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(steps):
+            k1g, k1h = rhs(g, h)
+            k2g, k2h = rhs(g + 0.5 * dt * k1g, h + 0.5 * dt * k1h)
+            k3g, k3h = rhs(g + 0.5 * dt * k2g, h + 0.5 * dt * k2h)
+            k4g, k4h = rhs(g + dt * k3g, h + dt * k3h)
+            g = g + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
+            h = h + (dt / 6.0) * (k1h + 2 * k2h + 2 * k3h + k4h)
+            if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+                raise IntegrationBlowUpError(n + 1)
+            defect = max(defect, model.group_defect(g))
+            if model.kind == "quaternion":
+                g = g / np.linalg.norm(g)
+            covectors.append(h)
+            elements.append(g)
+    return np.array(covectors), np.array(elements), defect
+
+
+def generic_covectors(rng, n):
+    """Unit-speed covectors (cos a, sin a, h0) with generic a and h0."""
+    return [
+        (math.cos(a), math.sin(a), h0)
+        for a, h0 in zip(rng.uniform(0.0, 2 * math.pi, n), rng.uniform(-1.5, 1.5, n))
+    ]
+
+
+@pytest.mark.parametrize("mid", MODEL_IDS)
+class TestPlainFloatStepAgainstNumpy:
+    def test_integrate_geodesic(self, models, rng, mid):
+        model = models[mid]
+        for cov in generic_covectors(rng, 3):
+            traj = integrate_geodesic(model, model.frame, start(model, *cov), 2.0, 400)
+            covectors, elements, defect = numpy_rk4(model, model.frame, cov, 2.0, 400)
+            assert np.max(np.abs(traj.covectors - covectors)) <= 1e-13
+            assert np.max(np.abs(traj.elements - elements)) <= 1e-13
+            assert abs(traj.max_group_defect - defect) <= 1e-13
+
+    def test_shoot_endpoint(self, models, rng, mid):
+        model = models[mid]
+        for cov, t in zip(generic_covectors(rng, 4), rng.uniform(0.2, 2.0, 4)):
+            alpha = math.atan2(cov[1], cov[0])
+            _, elements, _ = numpy_rk4(
+                model, model.frame, cov, float(t), _shoot_steps(float(t))
+            )
+            got = _shoot_endpoint(model, alpha, cov[2], t)
+            assert got.shape == model.identity.shape
+            assert np.max(np.abs(got - elements[-1])) <= 1e-13
+
+    def test_batched_grid_matches_single_paths(self, models, rng, mid):
+        model = models[mid]
+        alphas = rng.uniform(0.0, 2 * math.pi, 5)
+        h0s = rng.uniform(-3.0, 3.0, 5)
+        ends = _batched_endpoints(model, alphas, h0s, 0.7)
+        for k in range(5):
+            single = _shoot_endpoint(model, alphas[k], h0s[k], 0.7)
+            assert np.max(np.abs(ends[k] - single)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "mid,cov,t_final,steps",
+    [("a_plus_r", (1.0, 0.0, 0.0), 2000.0, 100),
+     ("sl2", (0.8, 0.6, 0.7), 1e6, 10),
+     ("su2", (1e200, 1e200, 1e200), 1.0, 10)],
+)
+def test_blow_up_step_matches_numpy(models, mid, cov, t_final, steps):
+    model = models[mid]
+    with pytest.raises(IntegrationBlowUpError) as want:
+        numpy_rk4(model, model.frame, cov, t_final, steps)
+    with pytest.raises(IntegrationBlowUpError) as got:
+        integrate_geodesic(model, model.frame, start(model, *cov), t_final, steps)
+    assert got.value.step == want.value.step
+
+
 class TestControls:
+    def test_blow_up_reports_global_step(self, models):
+        schedule = [(0.0, 0.0, 0.0), (1e300, 1e300, 1e300)]
+        with pytest.raises(IntegrationBlowUpError) as err:
+            integrate_controls(models["sl2"], schedule, 1.0, 100)
+        assert err.value.step == 51
+
     def test_zero_controls_stay_at_identity(self, models):
         for model in models.values():
             end = integrate_controls(model, [(0.0, 0.0, 0.0)], 1.0, 10)
@@ -208,8 +304,6 @@ class TestShooting:
         assert result.converged
         assert result.distance == pytest.approx(1.0, abs=1e-6)
         # Oracle: no arc of length <= 0.95 comes close to the target.
-        from sr3d.geodesics import _batched_endpoints
-
         alphas = np.linspace(0, 2 * math.pi, 24, endpoint=False)
         h0s = np.linspace(-3, 3, 13)
         ga, gh = np.meshgrid(alphas, h0s, indexing="ij")
