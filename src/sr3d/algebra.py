@@ -9,6 +9,7 @@ classes that admit left-invariant contact structures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Tuple
 
@@ -40,7 +41,7 @@ def as_vector3(coeffs: Iterable[float]) -> Vector3:
     v = np.asarray(tuple(coeffs), dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected 3 coefficients, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not all(map(math.isfinite, v.tolist())):
         raise ValueError("vector coefficients must be finite")
     return v
 
@@ -63,7 +64,7 @@ class LieAlgebra3:
         c = np.asarray(self.c, dtype=float)
         if c.shape != (3, 3, 3):
             raise ValueError(f"structure tensor must be 3x3x3, got {c.shape}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("structure constants must be finite")
         if not np.array_equal(c, -np.swapaxes(c, 0, 1)):
             raise ValueError("structure tensor is not antisymmetric in (i, j)")
@@ -94,9 +95,8 @@ class LieAlgebra3:
             if key in seen and not np.array_equal(seen[key], signed):
                 raise ValueError(f"conflicting values for bracket {key}")
             seen[key] = signed
-            c[key[0], key[1], :] = signed
-            c[key[1], key[0], :] = -signed
-        return cls(c, basis_labels)
+            c[key] = signed
+        return cls(c - np.swapaxes(c, 0, 1), basis_labels)
 
     @property
     def scale(self) -> float:

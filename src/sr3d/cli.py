@@ -57,8 +57,9 @@ def structure_from_dict(data: Dict[str, Any]) -> tuple[str, SRStructure]:
     brackets = data.get("brackets")
     if not isinstance(brackets, list):
         raise StructureParseError("'brackets' must be a list of {i,j,k,value}")
-    seen: Dict[tuple, float] = {}
-    c = np.zeros((3, 3, 3))
+    # Rows grouped into [e_i, e_j] per (i, j) as written; from_brackets
+    # rejects rows for (i, j) and (j, i) that disagree.
+    grouped: Dict[tuple, Dict[int, float]] = {}
     for row in brackets:
         try:
             i, j, k = int(row["i"]), int(row["j"]), int(row["k"])
@@ -67,14 +68,10 @@ def structure_from_dict(data: Dict[str, Any]) -> tuple[str, SRStructure]:
             raise StructureParseError(f"malformed bracket entry {row!r}") from exc
         if not all(0 <= idx <= 2 for idx in (i, j, k)):
             raise StructureParseError(f"bracket indices out of range in {row!r}")
-        if i == j:
-            raise StructureParseError(f"bracket ({i},{j}) must vanish by antisymmetry")
-        key = (i, j, k)
-        if key in seen and seen[key] != value:
-            raise StructureParseError(f"conflicting duplicate bracket {key}")
-        seen[key] = value
-        c[i, j, k] = value
-        c[j, i, k] = -value
+        coeffs = grouped.setdefault((i, j), {})
+        if k in coeffs and coeffs[k] != value:
+            raise StructureParseError(f"conflicting duplicate bracket {(i, j, k)}")
+        coeffs[k] = value
     span = data.get("span")
     try:
         span_arr = np.asarray(span, dtype=float)
@@ -86,7 +83,9 @@ def structure_from_dict(data: Dict[str, Any]) -> tuple[str, SRStructure]:
     except (TypeError, ValueError) as exc:
         raise StructureParseError("'gram' must be a 2x2 matrix") from exc
     try:
-        algebra = LieAlgebra3(c)
+        algebra = LieAlgebra3.from_brackets(
+            {ij: [coeffs.get(k, 0.0) for k in range(3)] for ij, coeffs in grouped.items()}
+        )
         structure = SRStructure(algebra, span_arr, gram_arr)
     except ValueError as exc:
         raise StructureParseError(str(exc)) from exc
@@ -337,14 +336,12 @@ def cmd_distance(args) -> int:
             target = np.asarray(json.loads(args.target), dtype=float)
         except (json.JSONDecodeError, ValueError) as exc:
             raise StructureParseError(f"bad --target: {exc}") from exc
-        if target.shape != model.identity.shape:
-            raise StructureParseError(
-                f"target shape {target.shape} does not match model "
-                f"element shape {model.identity.shape}"
-            )
     else:
         target = model.identity
-    result = shoot_distance(model, target, budget=args.budget)
+    try:
+        result = shoot_distance(model, target, budget=args.budget)
+    except ValueError as exc:
+        raise StructureParseError(str(exc)) from exc
     Report(
         {
             "model": model.id,
@@ -478,6 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        rel_tol()  # a bad SR3D_TOL fails every subcommand alike, help included
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

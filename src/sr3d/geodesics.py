@@ -12,14 +12,15 @@ quaternion) realization of the group.  Both are integrated jointly with
 fixed-step classical Runge-Kutta; no adaptive stepping, so the order-4
 convergence is directly testable.
 
-:func:`vertical_rhs` is the only place the covector equations live; it
-works on floats and broadcasts over arrays.  One path at a time (a batch of
-one: :func:`integrate_geodesic` and the shooting refinement) runs on plain
-Python floats through :func:`_rk4_step`, whose state is a flat list of the
-group element's entries followed by the covector, because on 2x2, 3x3 and
-quaternion states numpy's per-call dispatch costs more than the arithmetic.
-The shooting grid runs many paths at once on numpy arrays in
-:func:`_batched_endpoints`.
+:func:`_rk4_step` is the package's one RK4 step; callers keep their own
+loops and checks.  :func:`vertical_rhs` alone holds the covector equations,
+on floats or arrays.  One path at a time (:func:`integrate_geodesic`, the
+shooting refinement) steps a flat list of Python floats, g's entries then
+h1, h2, h0, since on these small states numpy's per-call dispatch costs
+more than the arithmetic; the shooting grid (:func:`_batched_endpoints`)
+steps [g stack, h1, h2, h0] as numpy arrays.  A control flow g' = g M is
+linear, so :func:`integrate_controls` steps g -> g R(dt M) with RK4's
+stability function R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
 
 Four models are provided: the 3x3 unipotent realization of the Heisenberg
 group, the 3x3 affine realization of A+(R) x R, SL(2) as 2x2 matrices, and
@@ -79,26 +80,27 @@ class GroupModel:
     a2: np.ndarray
     a0: np.ndarray
     identity: np.ndarray
-    # (out, in, coef1, coef2): the nonzero terms of g -> g A1 and g -> g A2 on
-    # the flat entries of g, sorted by (out, in), for :func:`_rk4_step`.
+    # _right_mul_terms(a1, a2), for :func:`_geodesic_rhs`.
     _terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Read-only copies: ``_terms`` is derived from a1 and a2 and must not
-        # go stale.
+        # Read-only copies, so that ``_terms`` (from a1 and a2) cannot go stale.
         for name in ("a1", "a2", "a0", "identity"):
             v = np.array(getattr(self, name), dtype=float)
             v.flags.writeable = False
             object.__setattr__(self, name, v)
+        object.__setattr__(self, "_terms", self._right_mul_terms(self.a1, self.a2))
+
+    def _right_mul_terms(self, *ms: np.ndarray) -> tuple:
+        """Nonzero terms (out, in, coef for each m) of g -> g m on g's flat entries."""
         size = self.identity.size
         unit = np.eye(size).reshape((size,) + self.identity.shape)
-        l1, l2 = (np.array([self.mul(e, a).ravel() for e in unit]).T
-                  for a in (self.a1, self.a2))
-        object.__setattr__(self, "_terms", tuple(
-            (out, col, float(l1[out, col]), float(l2[out, col]))
+        maps = [np.array([self.mul(e, m).ravel() for e in unit]).T for m in ms]
+        return tuple(
+            (out, col) + tuple(float(lm[out, col]) for lm in maps)
             for out in range(size) for col in range(size)
-            if l1[out, col] or l2[out, col]
-        ))
+            if any(lm[out, col] for lm in maps)
+        )
 
     def mul(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         if self.kind == "quaternion":
@@ -256,14 +258,26 @@ class Trajectory:
         return float(np.max(np.abs(h - h[0])))
 
 
-def _rk4_step(terms, frame, state, dt):
-    """One classical RK4 step of the coupled system on plain floats.
+def _rk4_step(rhs, state, dt):
+    """One classical RK4 step of x' = rhs(x).
 
-    ``state`` is a flat list: the group element's entries, then h1, h2, h0.
-    ``terms`` are the model's ``_terms``.  Returns the new state without
-    projecting or checking it.
+    ``state`` is a flat list whose entries are floats, or numpy arrays of
+    one shape for a batch; ``rhs`` maps such a list to one of the same
+    layout.  Returns the new state without projecting or checking it.
     """
-    size = len(state) - 3
+    half = 0.5 * dt
+    k1 = rhs(state)
+    k2 = rhs([x + half * k for x, k in zip(state, k1)])
+    k3 = rhs([x + half * k for x, k in zip(state, k2)])
+    k4 = rhs([x + dt * k for x, k in zip(state, k3)])
+    sixth = dt / 6.0
+    return [x + sixth * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
+
+
+def _geodesic_rhs(model, frame):
+    """Coupled right-hand side on the flat float state [g entries, h1, h2, h0]."""
+    terms = model._terms
+    size = model.identity.size
 
     def rhs(x):
         h1, h2, h0 = x[size:]
@@ -273,13 +287,7 @@ def _rk4_step(terms, frame, state, dt):
         dx.extend(vertical_rhs(frame, h1, h2, h0))
         return dx
 
-    half = 0.5 * dt
-    k1 = rhs(state)
-    k2 = rhs([x + half * k for x, k in zip(state, k1)])
-    k3 = rhs([x + half * k for x, k in zip(state, k2)])
-    k4 = rhs([x + dt * k for x, k in zip(state, k3)])
-    sixth = dt / 6.0
-    return [x + sixth * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
+    return rhs
 
 
 def _unit_quaternion(state):
@@ -309,8 +317,9 @@ def integrate_geodesic(
     flat = array("d", state)
     max_defect = model.group_defect(g0)
     quaternion = model.kind == "quaternion"
+    rhs = _geodesic_rhs(model, frame)
     for n in range(steps):
-        state = _rk4_step(model._terms, frame, state, dt)
+        state = _rk4_step(rhs, state, dt)
         if not all(map(math.isfinite, state)):
             raise IntegrationBlowUpError(n + 1)
         if quaternion:
@@ -340,23 +349,25 @@ def integrate_controls(
         raise ValueError("control schedule must be nonempty")
     seg_steps = max(1, steps // len(controls))
     seg_t = t_final / len(controls)
-    g = np.array(model.identity, dtype=float)
+    g = model.identity.ravel().tolist()
     quaternion = model.kind == "quaternion"
-    with np.errstate(over="ignore", invalid="ignore"):
-        for segment, (u1, u2, u0) in enumerate(controls):
-            m = model.combo(u1, u2, u0)
-            dt = seg_t / seg_steps
-            for n in range(seg_steps):
-                k1 = model.mul(g, m)
-                k2 = model.mul(g + 0.5 * dt * k1, m)
-                k3 = model.mul(g + 0.5 * dt * k2, m)
-                k4 = model.mul(g + dt * k3, m)
-                g = g + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                if not np.all(np.isfinite(g)):
-                    raise IntegrationBlowUpError(segment * seg_steps + n + 1)
-                if quaternion:
-                    g = g / np.linalg.norm(g)
-    return g
+    for segment, (u1, u2, u0) in enumerate(controls):
+        z = (seg_t / seg_steps) * model.combo(u1, u2, u0)
+        # q = R(z) - 1 for RK4's stability function R; stepping g + g q
+        # rather than g R(z) keeps each step's rounding at the step's size.
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = z + model.mul(z, z / 2.0 + model.mul(z, z / 6.0 + model.mul(z, z / 24.0)))
+            terms = model._right_mul_terms(q)
+        for n in range(seg_steps):
+            dg = [0.0] * len(g)
+            for out, col, coef in terms:
+                dg[out] += coef * g[col]
+            g = [x + d for x, d in zip(g, dg)]
+            if not all(map(math.isfinite, g)):
+                raise IntegrationBlowUpError(segment * seg_steps + n + 1)
+            if quaternion:
+                g = _unit_quaternion(g)[1]
+    return np.array(g).reshape(model.identity.shape)
 
 
 # --- shooting ---------------------------------------------------------------
@@ -386,8 +397,9 @@ def _shoot_endpoint(model, alpha, h0, t):
     steps = _shoot_steps(t)
     dt = float(t) / steps
     quaternion = model.kind == "quaternion"
+    rhs = _geodesic_rhs(model, model.frame)
     for _ in range(steps):
-        state = _rk4_step(model._terms, model.frame, state, dt)
+        state = _rk4_step(rhs, state, dt)
         if quaternion:
             state = _unit_quaternion(state)[1]
     return np.array(state[:-3]).reshape(model.identity.shape)
@@ -395,28 +407,22 @@ def _shoot_endpoint(model, alpha, h0, t):
 
 def _batched_endpoints(model, alphas, h0s, t):
     """Endpoints for a whole batch of unit covectors at a common time t."""
-    frame = model.frame
-    h = np.column_stack([np.cos(alphas), np.sin(alphas), h0s])
     g = np.tile(model.identity, (alphas.size,) + (1,) * model.identity.ndim)
+    state = [g, np.cos(alphas), np.sin(alphas), np.asarray(h0s, dtype=float)]
     quaternion = model.kind == "quaternion"
-    mul = quat_mul if quaternion else np.matmul
 
-    def rhs(gs, hs):
-        m = np.multiply.outer(hs[:, 0], model.a1) + np.multiply.outer(hs[:, 1], model.a2)
-        return mul(gs, m), np.column_stack(vertical_rhs(frame, *hs.T))
+    def rhs(x):
+        gs, h1, h2, h0 = x
+        m = np.multiply.outer(h1, model.a1) + np.multiply.outer(h2, model.a2)
+        return [model.mul(gs, m), *vertical_rhs(model.frame, h1, h2, h0)]
 
     steps = _shoot_steps(t)
     dt = t / steps
     for _ in range(steps):
-        k1g, k1h = rhs(g, h)
-        k2g, k2h = rhs(g + 0.5 * dt * k1g, h + 0.5 * dt * k1h)
-        k3g, k3h = rhs(g + 0.5 * dt * k2g, h + 0.5 * dt * k2h)
-        k4g, k4h = rhs(g + dt * k3g, h + dt * k3h)
-        g = g + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
-        h = h + (dt / 6.0) * (k1h + 2 * k2h + 2 * k3h + k4h)
+        state = _rk4_step(rhs, state, dt)
         if quaternion:
-            g = g / np.linalg.norm(g, axis=1, keepdims=True)
-    return g
+            state[0] = state[0] / np.linalg.norm(state[0], axis=1, keepdims=True)
+    return state[0]
 
 
 def shoot_distance(
@@ -435,8 +441,13 @@ def shoot_distance(
     ``budget`` iterations).  Returns the shortest refined hit whose endpoint
     error is below 1e-6, else the best found with its error.  Candidates are
     reduced in grid-index order, so the result is schedule-independent.
+    A target of the wrong shape or with a non-finite entry raises ValueError.
     """
     target = np.asarray(target, dtype=float)
+    if target.shape != model.identity.shape:
+        raise ValueError(f"target shape {target.shape} does not match the model's {model.identity.shape}")
+    if not np.all(np.isfinite(target)):
+        raise ValueError("target entries must be finite")
     if float(np.max(np.abs(target - model.identity))) <= 1e-12:
         return ShootingResult(0.0, (0.0, 0.0, 0.0), 0.0, True)
 

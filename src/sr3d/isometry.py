@@ -26,13 +26,14 @@ quotient by z -> z + 4 pi.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geodesics import sl2_basis
+from .geodesics import _rk4_step, build_model, integrate_controls, sl2_basis
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,10 +105,6 @@ IDENTITY_APOINT = APoint(0.0, -1.0, 0.0)
 def a_mul(p: APoint, q: APoint) -> APoint:
     """Group law (x, y, z)(x', y', z') = (x - y x', -y y', z + z')."""
     return APoint(p.x - p.y * q.x, -p.y * q.y, p.z + q.z)
-
-
-def apoint_to_matrix(p: APoint) -> np.ndarray:
-    return np.array([[-p.y, 0.0, p.x], [0.0, 1.0, p.z], [0.0, 0.0, 1.0]])
 
 
 def matrix_to_apoint(g: np.ndarray) -> APoint:
@@ -209,14 +206,6 @@ def psi_consistency(
 
 # --- control flows on both sides ----------------------------------------------
 
-def _chart_rhs(x, y, z, u1, u2, u0):
-    s, c = math.sin(z), math.cos(z)
-    dx = u1 * y * s - u2 * y * c
-    dy = -u1 * y * c - u2 * y * s
-    dz = -u1 * s + u2 * c - u0
-    return dx, dy, dz
-
-
 def integrate_chart(
     controls: Sequence[Tuple[float, float, float]],
     t_final: float,
@@ -225,35 +214,26 @@ def integrate_chart(
     enforce_chart: bool = True,
 ) -> APoint:
     """RK4 flow of u1 fhat1 + u2 fhat2 + u0 f0 in chart coordinates."""
-    x, y, z = start.x, start.y, start.z
+    state = [start.x, start.y, start.z]
     seg_steps = max(1, steps // len(controls))
     dt = t_final / len(controls) / seg_steps
     for u1, u2, u0 in controls:
+        def rhs(p):
+            _, y, z = p
+            s, c = math.sin(z), math.cos(z)
+            return [u1 * y * s - u2 * y * c, -u1 * y * c - u2 * y * s, -u1 * s + u2 * c - u0]
+
         for _ in range(seg_steps):
-            k1 = _chart_rhs(x, y, z, u1, u2, u0)
-            k2 = _chart_rhs(x + 0.5 * dt * k1[0], y + 0.5 * dt * k1[1],
-                            z + 0.5 * dt * k1[2], u1, u2, u0)
-            k3 = _chart_rhs(x + 0.5 * dt * k2[0], y + 0.5 * dt * k2[1],
-                            z + 0.5 * dt * k2[2], u1, u2, u0)
-            k4 = _chart_rhs(x + dt * k3[0], y + dt * k3[1], z + dt * k3[2],
-                            u1, u2, u0)
-            x += (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            y += (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            z += (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            if enforce_chart and abs(z) >= TWO_PI:
-                raise ChartExitError(f"|z| reached {abs(z):.3f} >= 2 pi")
-    return APoint(x, y, z)
+            state = _rk4_step(rhs, state, dt)
+            if enforce_chart and abs(state[2]) >= TWO_PI:
+                raise ChartExitError(f"|z| reached {abs(state[2]):.3f} >= 2 pi")
+    return APoint(*state)
 
 
-def _sl2_rhs(a, b, c, d, u1, u2, u0):
-    # u1 g1 + u2 g2 + u0 g0 = 0.5 [[u1, u2 - u0], [u2 + u0, -u1]]
-    m11 = 0.5 * u1
-    m12 = 0.5 * (u2 - u0)
-    m21 = 0.5 * (u2 + u0)
-    return (
-        a * m11 + b * m21, a * m12 - b * m11,
-        c * m11 + d * m21, c * m12 - d * m11,
-    )
+# Built on first use, not at import: building reads SR3D_TOL.
+@functools.cache
+def _sl2_model():
+    return build_model("sl2")
 
 
 def integrate_sl2(
@@ -262,23 +242,7 @@ def integrate_sl2(
     steps: int,
 ) -> np.ndarray:
     """RK4 flow of the matching left-invariant system on SL(2)."""
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    seg_steps = max(1, steps // len(controls))
-    dt = t_final / len(controls) / seg_steps
-    for u1, u2, u0 in controls:
-        for _ in range(seg_steps):
-            k1 = _sl2_rhs(a, b, c, d, u1, u2, u0)
-            k2 = _sl2_rhs(a + 0.5 * dt * k1[0], b + 0.5 * dt * k1[1],
-                          c + 0.5 * dt * k1[2], d + 0.5 * dt * k1[3], u1, u2, u0)
-            k3 = _sl2_rhs(a + 0.5 * dt * k2[0], b + 0.5 * dt * k2[1],
-                          c + 0.5 * dt * k2[2], d + 0.5 * dt * k2[3], u1, u2, u0)
-            k4 = _sl2_rhs(a + dt * k3[0], b + dt * k3[1],
-                          c + dt * k3[2], d + dt * k3[3], u1, u2, u0)
-            a += (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            b += (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            c += (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            d += (dt / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-    return np.array([[a, b], [c, d]])
+    return integrate_controls(_sl2_model(), controls, t_final, steps)
 
 
 def nagano_check(

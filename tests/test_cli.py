@@ -10,6 +10,7 @@ from sr3d.cli import (
     EXIT_NOT_CONTACT,
     EXIT_OK,
     EXIT_PARSE,
+    StructureParseError,
     main,
     structure_from_dict,
     structure_to_dict,
@@ -92,6 +93,16 @@ class TestClassifyCommand:
             },
         )
         assert main(["classify", "--input", path]) == EXIT_PARSE
+
+    def test_brackets_written_both_ways_must_agree(self, tmp_path):
+        rows = [{"i": 0, "j": 1, "k": 2, "value": 1.0}, {"i": 1, "j": 0, "k": 2, "value": 1.0}]
+        data = {"name": "both", "brackets": rows, "span": [[1, 0, 0], [0, 1, 0]]}
+        with pytest.raises(StructureParseError):
+            structure_from_dict(data)
+        assert main(["classify", "--input", write(tmp_path, "both.json", data)]) == EXIT_PARSE
+        rows[1]["value"] = -1.0
+        _, structure = structure_from_dict(data)
+        assert structure.algebra.c[0, 1, 2] == 1.0 and structure.algebra.c[1, 0, 2] == -1.0
 
 
 class TestInvariantsCommand:
@@ -199,6 +210,12 @@ class TestDistanceCommand:
         code = main(["distance", "--model", "sl2", "--target", "[1, 0, 0]"])
         assert code == EXIT_PARSE
 
+    def test_non_finite_target(self, capsys):
+        code = main(["distance", "--model", "sl2", "--target", "[[NaN, 0], [0, 1]]"])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 class TestCertifyCommand:
     def test_small_run_passes(self, capsys):
@@ -254,3 +271,14 @@ class TestSampleFiles:
         assert main(["classify", "--input", str(root / "aplus.json"), "--json"]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert data["kappa"] == -1.0
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1e-9"])
+def test_bad_tolerance_setting_is_parse_error(monkeypatch, capsys, h3_file, value):
+    monkeypatch.setenv("SR3D_TOL", value)
+    for argv in (["catalog"], ["figure1"], ["classify", "--input", h3_file],
+                 ["invariants", "--input", h3_file], ["geodesic", "--model", "sl2"],
+                 ["distance", "--model", "sl2"], ["certify-isometry", "--samples", "0"]):
+        assert main(argv) == EXIT_PARSE, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: SR3D_TOL") and err.count("\n") == 1, err

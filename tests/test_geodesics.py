@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from sr3d import geodesics
 from sr3d.classify import catalog_entry
 from sr3d.frames import reeb_frame, rotate_frame
 from sr3d.geodesics import (
@@ -261,7 +262,37 @@ def test_blow_up_step_matches_numpy(models, mid, cov, t_final, steps):
     assert got.value.step == want.value.step
 
 
+def numpy_controls(model, controls, t_final, steps):
+    """Reference: RK4 stages on numpy arrays with the model's own product."""
+    seg_steps = max(1, steps // len(controls))
+    dt = t_final / len(controls) / seg_steps
+    g = np.array(model.identity, dtype=float)
+    for u1, u2, u0 in controls:
+        m = model.combo(u1, u2, u0)
+        for _ in range(seg_steps):
+            k1 = model.mul(g, m)
+            k2 = model.mul(g + 0.5 * dt * k1, m)
+            k3 = model.mul(g + 0.5 * dt * k2, m)
+            k4 = model.mul(g + dt * k3, m)
+            g = g + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if model.kind == "quaternion":
+                g = g / np.linalg.norm(g)
+    return g
+
+
 class TestControls:
+    @pytest.mark.parametrize("mid", MODEL_IDS)
+    def test_matches_numpy_stages(self, models, rng, mid):
+        model = models[mid]
+        for _ in range(6):
+            n_seg = int(rng.integers(1, 6))
+            schedule = [tuple(rng.uniform(-2.0, 2.0, size=3)) for _ in range(n_seg)]
+            t_final, steps = float(rng.uniform(0.5, 2.0)), int(rng.integers(50, 800))
+            got = integrate_controls(model, schedule, t_final, steps)
+            want = numpy_controls(model, schedule, t_final, steps)
+            assert got.shape == model.identity.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+
     def test_blow_up_reports_global_step(self, models):
         schedule = [(0.0, 0.0, 0.0), (1e300, 1e300, 1e300)]
         with pytest.raises(IntegrationBlowUpError) as err:
@@ -312,6 +343,16 @@ class TestShooting:
             ends = _batched_endpoints(model, ga.ravel(), gh.ravel(), float(t))
             errs = np.linalg.norm(ends.reshape(ends.shape[0], -1) - target, axis=1)
             assert errs.min() > 5e-2
+
+    @pytest.mark.parametrize("target", [[1.0, 0.0, 0.0], [[float("nan"), 0.0], [0.0, 1.0]],
+                                        [[1.0, 0.0], [0.0, float("inf")]]])
+    def test_bad_target_fails_before_the_grid(self, models, monkeypatch, target):
+        def grid(*args):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(geodesics, "_batched_endpoints", grid)
+        with pytest.raises(ValueError):
+            shoot_distance(models["sl2"], target)
 
     def test_deterministic(self, models):
         model = models["heisenberg"]

@@ -184,7 +184,60 @@ class TestConsistency:
         assert worst <= 1e-10
 
 
+def reference_chart(controls, t_final, steps):
+    """Reference: RK4 stages written out on the chart coordinates."""
+    def rhs(x, y, z, u1, u2, u0):
+        s, c = math.sin(z), math.cos(z)
+        return u1 * y * s - u2 * y * c, -u1 * y * c - u2 * y * s, -u1 * s + u2 * c - u0
+
+    x, y, z = 0.0, -1.0, 0.0
+    seg_steps = max(1, steps // len(controls))
+    dt = t_final / len(controls) / seg_steps
+    for u in controls:
+        for _ in range(seg_steps):
+            k1 = rhs(x, y, z, *u)
+            k2 = rhs(x + 0.5 * dt * k1[0], y + 0.5 * dt * k1[1], z + 0.5 * dt * k1[2], *u)
+            k3 = rhs(x + 0.5 * dt * k2[0], y + 0.5 * dt * k2[1], z + 0.5 * dt * k2[2], *u)
+            k4 = rhs(x + dt * k3[0], y + dt * k3[1], z + dt * k3[2], *u)
+            x += (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            y += (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            z += (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+    return x, y, z
+
+
+def reference_sl2(controls, t_final, steps):
+    """Reference: RK4 stages written out on the entries of the SL(2) matrix."""
+    def rhs(a, b, c, d, u1, u2, u0):
+        # u1 g1 + u2 g2 + u0 g0 = 0.5 [[u1, u2 - u0], [u2 + u0, -u1]]
+        m11, m12, m21 = 0.5 * u1, 0.5 * (u2 - u0), 0.5 * (u2 + u0)
+        return a * m11 + b * m21, a * m12 - b * m11, c * m11 + d * m21, c * m12 - d * m11
+
+    g = [1.0, 0.0, 0.0, 1.0]
+    seg_steps = max(1, steps // len(controls))
+    dt = t_final / len(controls) / seg_steps
+    for u in controls:
+        for _ in range(seg_steps):
+            k1 = rhs(*g, *u)
+            k2 = rhs(*[x + 0.5 * dt * k for x, k in zip(g, k1)], *u)
+            k3 = rhs(*[x + 0.5 * dt * k for x, k in zip(g, k2)], *u)
+            k4 = rhs(*[x + dt * k for x, k in zip(g, k3)], *u)
+            g = [x + (dt / 6.0) * (a + 2 * b + 2 * c + d)
+                 for x, a, b, c, d in zip(g, k1, k2, k3, k4)]
+    return np.array(g).reshape(2, 2)
+
+
 class TestControlFlows:
+    def test_flows_match_written_out_stages(self, rng):
+        for _ in range(8):
+            n_seg = int(rng.integers(1, 6))
+            schedule = [tuple(rng.uniform(-1, 1, size=3)) for _ in range(n_seg)]
+            steps = int(rng.integers(100, 2000))
+            q = iso.integrate_chart(schedule, 1.0, steps)
+            assert max(abs(a - b) for a, b in zip((q.x, q.y, q.z),
+                                                  reference_chart(schedule, 1.0, steps))) <= 1e-15
+            x = iso.integrate_sl2(schedule, 1.0, steps)
+            assert np.max(np.abs(x - reference_sl2(schedule, 1.0, steps))) <= 1e-13
+
     def test_zero_controls_residual_zero(self):
         assert iso.nagano_check([(0.0, 0.0, 0.0)], 1.0, steps=100) <= 1e-15
 
