@@ -57,6 +57,8 @@ class SRStructure:
         gram = np.asarray(self.gram, dtype=float)
         if gram.shape != (2, 2):
             raise ValueError(f"gram must be 2x2, got shape {gram.shape}")
+        if not np.isfinite(gram).all():
+            raise ValueError("gram entries must be finite")
         if not np.allclose(gram, gram.T, rtol=0, atol=1e-12 * (1 + np.max(np.abs(gram)))):
             raise ValueError("gram matrix must be symmetric")
         eigs = np.linalg.eigvalsh(gram)

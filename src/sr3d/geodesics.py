@@ -45,8 +45,14 @@ MODEL_IDS = ("heisenberg", "a_plus_r", "sl2", "su2")
 
 
 class IntegrationBlowUpError(RuntimeError):
-    def __init__(self, step: int):
-        super().__init__(f"state became non-finite at step {step}")
+    """A fixed-step flow reached a non-finite state.
+
+    ``step`` is the first non-finite step, or with ``when="by"`` the last
+    step of a flow that checks its state only once it has finished.
+    """
+
+    def __init__(self, step: int, when: str = "at"):
+        super().__init__(f"state became non-finite {when} step {step}")
         self.step = step
 
 
@@ -392,7 +398,11 @@ def _shoot_steps(t: float) -> int:
 
 
 def _shoot_endpoint(model, alpha, h0, t):
-    """Endpoint only; no trajectory storage, for use inside optimizers."""
+    """Endpoint only; no trajectory storage, for use inside optimizers.
+
+    The finished state is checked once: a non-finite one raises
+    :class:`IntegrationBlowUpError` (NaN and inf never turn finite again).
+    """
     state = model.identity.ravel().tolist() + [math.cos(alpha), math.sin(alpha), float(h0)]
     steps = _shoot_steps(t)
     dt = float(t) / steps
@@ -402,6 +412,8 @@ def _shoot_endpoint(model, alpha, h0, t):
         state = _rk4_step(rhs, state, dt)
         if quaternion:
             state = _unit_quaternion(state)[1]
+    if not all(map(math.isfinite, state)):
+        raise IntegrationBlowUpError(steps, "by")
     return np.array(state[:-3]).reshape(model.identity.shape)
 
 
@@ -441,13 +453,18 @@ def shoot_distance(
     ``budget`` iterations).  Returns the shortest refined hit whose endpoint
     error is below 1e-6, else the best found with its error.  Candidates are
     reduced in grid-index order, so the result is schedule-independent.
-    A target of the wrong shape or with a non-finite entry raises ValueError.
+    A target of the wrong shape, with a non-finite entry or whose norm
+    overflows raises ValueError; a non-finite endpoint met during the search
+    raises :class:`IntegrationBlowUpError`.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != model.identity.shape:
         raise ValueError(f"target shape {target.shape} does not match the model's {model.identity.shape}")
     if not np.all(np.isfinite(target)):
         raise ValueError("target entries must be finite")
+    with np.errstate(over="ignore"):
+        if not math.isfinite(np.linalg.norm(target)):
+            raise ValueError("target norm overflows a float")
     if float(np.max(np.abs(target - model.identity))) <= 1e-12:
         return ShootingResult(0.0, (0.0, 0.0, 0.0), 0.0, True)
 

@@ -19,9 +19,9 @@ gives the closed-form diffeomorphism
 in half-plane polar coordinates (x = rho sin theta, y = -rho cos theta,
 phi = z / 2).  Everything here is a verbatim transcription of those closed
 forms plus the redundancy checks that certify them numerically: endpoint-map
-consistency, control-flow (Nagano) intertwining, pushforward of the frame,
-and the kernel / centrality facts that make Psi well defined on the
-quotient by z -> z + 4 pi.
+consistency, control-flow (Nagano) intertwining with a step-doubling
+estimate of its RK4 error, pushforward of the frame, and the kernel /
+centrality facts that make Psi well defined on the quotient by z -> z + 4 pi.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ import numpy as np
 from .geodesics import _rk4_step, build_model, integrate_controls, sl2_basis
 
 TWO_PI = 2.0 * math.pi
+
+# RK4 steps per Nagano schedule.  The step-doubling row runs N and N / 2;
+# 240 is a multiple of 120, so both split evenly over 1-5 segments.
+NAGANO_STEPS = 240
 
 
 class ChartExitError(RuntimeError):
@@ -248,7 +252,7 @@ def integrate_sl2(
 def nagano_check(
     controls: Sequence[Tuple[float, float, float]],
     t_final: float,
-    steps: int = 4000,
+    steps: int = NAGANO_STEPS,
     psi: PsiFn = psi_entries,
 ) -> float:
     """Endpoint intertwining: Psi(chart endpoint) vs SL(2) endpoint.
@@ -390,13 +394,16 @@ def run_certification(
     samples: int = 50,
     seed: int = 42,
     psi: PsiFn = psi_entries,
-    nagano_steps: int = 4000,
+    nagano_steps: int = NAGANO_STEPS,
 ) -> List[CheckResult]:
     """Run the whole certification battery; deterministic for a fixed seed.
 
-    ``samples`` scales the randomized checks (endpoint-map consistency uses
-    20x samples, the control-flow check uses 1x, pushforward decay 0.4x).
-    With samples = 0 only the exact fixed-point checks run.
+    ``samples`` scales the randomized checks: endpoint-map consistency,
+    round trip and determinant use 20x samples, the finite-difference
+    brackets 2x, the control-flow rows (intertwining and its step-doubling
+    discretisation estimate) 1x, each schedule flown at ``nagano_steps``
+    and at half that, and the pushforward rows 0.4x.  With samples = 0 only
+    the exact fixed-point checks run.
     """
     rng = np.random.default_rng(seed)
     results: List[CheckResult] = []
@@ -477,13 +484,22 @@ def run_certification(
     results.append(_result("endpoint_map_roundtrip", n_psi, round_gap, 1e-10))
     results.append(_result("psi_determinant", n_psi, det_gap, 1e-10))
 
-    # Control-flow intertwining.
+    # Control-flow intertwining, and a step-doubling estimate of its RK4
+    # error: r(N) - r(N/2) ~ (1 - 2^4) C h^4, so |r(N/2) - r(N)| / 15
+    # approximates the discretisation part of r(N).  A wrong map makes both
+    # residuals large and nearly equal, leaving the estimate small; the map
+    # error shows in the intertwining row alone.
     nag_gap = 0.0
+    disc_gap = 0.0
     for _ in range(samples):
         n_seg = int(rng.integers(1, 6))
         schedule = [tuple(rng.uniform(-1.0, 1.0, size=3)) for _ in range(n_seg)]
-        nag_gap = max(nag_gap, nagano_check(schedule, 1.0, nagano_steps, psi))
+        fine = nagano_check(schedule, 1.0, nagano_steps, psi)
+        coarse = nagano_check(schedule, 1.0, nagano_steps // 2, psi)
+        nag_gap = max(nag_gap, fine)
+        disc_gap = max(disc_gap, abs(coarse - fine) / 15.0)
     results.append(_result("nagano_intertwining", samples, nag_gap, 1e-6))
+    results.append(_result("nagano_discretisation", samples, disc_gap, 1e-9))
 
     # Pushforward: first-order decay in eps and orthonormality transport.
     n_push = max(1, (2 * samples) // 5)

@@ -200,6 +200,7 @@ def test_criterion_7_isometry_certification():
     required = {
         "psi_consistency": 1000,
         "nagano_intertwining": 50,
+        "nagano_discretisation": 50,
         "pushforward_decay": 20,
         "psi_identity_fixed_point": 1,
         "psi_nonhomomorphism_product": 1,

@@ -4,6 +4,7 @@ that in the ordinary test run."""
 
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,34 @@ def test_nagano_check_reaches_both_flows(targets, monkeypatch):
         monkeypatch.setattr(iso, name, counted)
     iso.nagano_check([(0.3, -0.2, 0.5), (0.1, 0.4, -0.6)], 1.0, 40)
     assert calls == dict.fromkeys(names, 1)
+
+
+def test_certification_flies_every_schedule_inside_nagano_check(monkeypatch):
+    # isometry.nagano_rk4_steps_per_op counts the flow steps taken inside
+    # nagano_check spans, so the schedules' flows must stay in there.
+    depth = [0]
+    schedules = []
+    flows = []
+    nagano = iso.nagano_check
+
+    def counted_nagano(controls, *args, **kwargs):
+        schedules.append(tuple(controls))
+        depth[0] += 1
+        try:
+            return nagano(controls, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(iso, "nagano_check", counted_nagano)
+    for name in ("integrate_chart", "integrate_sl2"):
+        def flow(controls, *args, _name=name, _fn=getattr(iso, name), **kwargs):
+            flows.append((_name, tuple(controls), depth[0] > 0))
+            return _fn(controls, *args, **kwargs)
+
+        monkeypatch.setattr(iso, name, flow)
+    iso.run_certification(samples=2, seed=3)
+    per_schedule = Counter(schedules)
+    assert len(per_schedule) == 2 and min(per_schedule.values()) >= 2
+    on_path = [(name, inside) for name, controls, inside in flows if controls in per_schedule]
+    assert {name for name, _ in on_path} == {"integrate_chart", "integrate_sl2"}
+    assert all(inside for _, inside in on_path)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -75,6 +76,19 @@ class TestClassifyCommand:
             },
         )
         assert main(["classify", "--input", path]) == EXIT_JACOBI
+
+    def test_non_finite_gram_is_one_error_line(self, tmp_path, capsys):
+        path = write(
+            tmp_path, "nan_gram.json",
+            '{"name": "h3", "brackets": [{"i": 0, "j": 1, "k": 2, "value": 1}], '
+            '"span": [[1, 0, 0], [0, 1, 0]], "gram": [[NaN, 0], [0, 1]]}',
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["classify", "--input", path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "finite" in err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "broken.json", "{nope")
@@ -212,6 +226,14 @@ class TestDistanceCommand:
 
     def test_non_finite_target(self, capsys):
         code = main(["distance", "--model", "sl2", "--target", "[[NaN, 0], [0, 1]]"])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_overflowing_target_norm(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["distance", "--model", "sl2", "--target", "[[1e300, 0], [0, 1e-300]]"])
         assert code == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err

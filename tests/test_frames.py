@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,16 @@ class TestOrthonormalize:
         span = s.span
         m = np.array([np.linalg.lstsq(span.T, f, rcond=None)[0] for f in (f1, f2)])
         assert np.allclose(m @ gram @ m.T, np.eye(2), atol=1e-12)
+
+    def test_rejects_non_finite_gram_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                SRStructure(
+                    HEISENBERG.algebra,
+                    np.array([[1.0, 0, 0], [0, 1.0, 0]]),
+                    np.array([[float("nan"), 0.0], [0.0, 1.0]]),
+                )
 
     def test_rejects_degenerate_gram(self):
         with pytest.raises(ValueError, match="positive definite"):

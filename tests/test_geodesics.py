@@ -345,7 +345,8 @@ class TestShooting:
             assert errs.min() > 5e-2
 
     @pytest.mark.parametrize("target", [[1.0, 0.0, 0.0], [[float("nan"), 0.0], [0.0, 1.0]],
-                                        [[1.0, 0.0], [0.0, float("inf")]]])
+                                        [[1.0, 0.0], [0.0, float("inf")]],
+                                        [[1e300, 0.0], [0.0, 1e-300]]])
     def test_bad_target_fails_before_the_grid(self, models, monkeypatch, target):
         def grid(*args):
             raise AssertionError("the grid ran")
@@ -353,6 +354,11 @@ class TestShooting:
         monkeypatch.setattr(geodesics, "_batched_endpoints", grid)
         with pytest.raises(ValueError):
             shoot_distance(models["sl2"], target)
+
+    def test_non_finite_endpoint_raises(self, models):
+        with pytest.raises(IntegrationBlowUpError) as err:
+            _shoot_endpoint(models["sl2"], 0.3, 1e200, 1.0)
+        assert err.value.step == _shoot_steps(1.0)
 
     def test_deterministic(self, models):
         model = models["heisenberg"]

@@ -321,6 +321,30 @@ class TestCertification:
             (r.name, r.max_residual) for r in results if not r.passed
         ]
 
+    def test_discretisation_row_has_teeth(self):
+        results = iso.run_certification(samples=5, seed=7, nagano_steps=12)
+        rows = {r.name: r for r in results}
+        assert not rows["nagano_discretisation"].passed
+        assert all(r.passed for r in results if not r.name.startswith("nagano")), [
+            (r.name, r.max_residual) for r in results if not r.passed
+        ]
+
+    def test_discretisation_row_tracks_true_error(self, monkeypatch):
+        # Psi is exact, so the residual at 3840 steps stands in for zero
+        # discretisation error on the schedules the battery drew.
+        nagano = iso.nagano_check
+        schedules = set()
+
+        def recorded(controls, *args):
+            schedules.add(tuple(controls))
+            return nagano(controls, *args)
+
+        monkeypatch.setattr(iso, "nagano_check", recorded)
+        rows = {r.name: r for r in iso.run_certification(samples=12, seed=1993)}
+        true_error = max(abs(nagano(s, 1.0) - nagano(s, 1.0, 3840)) for s in schedules)
+        assert len(schedules) == 12
+        assert 0.5 <= rows["nagano_discretisation"].max_residual / true_error <= 2.0
+
     def test_samples_zero_runs_fixed_points_only(self):
         results = iso.run_certification(samples=0, seed=1)
         names = {r.name for r in results}
