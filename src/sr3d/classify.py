@@ -25,7 +25,7 @@ from . import algebra as alg
 from .algebra import LieAlgebra3, identify_algebra, killing_form, restrict_bilinear
 from .config import rel_tol
 from .frames import AdaptedFrame, SRStructure, reeb_frame
-from .invariants import Invariants, canonical_frame, compute_chi, compute_kappa, normalize
+from .invariants import canonical_frame, compute_chi, compute_kappa, normalize
 
 SL2_ELLIPTIC = "sl_e(2)"
 SL2_HYPERBOLIC = "sl_h(2)"
@@ -94,42 +94,15 @@ def classify(structure: SRStructure) -> ClassLabel:
     tol = rel_tol() * scale
 
     if raw_chi <= tol:
-        return _classify_chi_zero(structure, frame, raw_chi, raw_kappa, tol)
-
-    canon = canonical_frame(frame)
-    chi = compute_chi(canon)
-    kappa = compute_kappa(canon)
-    inv = normalize(chi, kappa, scale)
-    ctol = rel_tol() * canon.scale
-    c01_2, c02_1 = canon.c01_2, canon.c02_1
-    c12_1, c12_2 = canon.c12_1, canon.c12_2
-    z12_1 = abs(c12_1) <= ctol
-    z12_2 = abs(c12_2) <= ctol
-    z01_2 = abs(c01_2) <= ctol
-    z02_1 = abs(c02_1) <= ctol
-
-    if z12_1 and z12_2:
-        if z02_1:
-            label, case = alg.SE2, "(i)(a)"
-        elif z01_2:
-            label, case = alg.SH2, "(i)(b)"
-        elif c01_2 > 0 > c02_1:
-            label, case = alg.SU2, "(i)(c)"
-        elif c01_2 < 0 < c02_1:
-            label, case = _sl2_metric_split(structure), "(i)(d)"
-        elif c01_2 > 0 and c02_1 > 0:
-            label, case = _sl2_metric_split(structure), "(i)(e)"
-        else:
-            # chi > 0 forbids both c01_2 and c02_1 non-positive.
-            raise UnclassifiableError("sign pattern impossible for chi > 0")
-    elif (not z12_2) and z02_1 and z12_1:
-        label, case = alg.SOLV_PLUS, "(ii)"
-    elif (not z12_1) and z01_2 and z12_2:
-        label, case = alg.SOLV_MINUS, "(iii)"
+        label, case = identify_algebra(structure.algebra), "chi=0"
+        if label == alg.SL2:
+            label = _sl2_metric_split(structure)
+        # With chi snapped to 0 the normalized pair is exactly (0, 0) or (0, +-1).
+        inv = normalize(0.0, raw_kappa, scale)
     else:
-        raise UnclassifiableError(
-            "canonical constants violate the structural relations"
-        )
+        frame = canonical_frame(frame)
+        inv = normalize(compute_chi(frame), compute_kappa(frame), scale)
+        label, case = _chi_positive_case(structure, frame)
 
     return ClassLabel(
         algebra=label,
@@ -140,36 +113,37 @@ def classify(structure: SRStructure) -> ClassLabel:
         dilation=inv.dilation,
         raw_chi=raw_chi,
         raw_kappa=raw_kappa,
-        frame=canon,
-    )
-
-
-def _classify_chi_zero(
-    structure: SRStructure,
-    frame: AdaptedFrame,
-    raw_chi: float,
-    raw_kappa: float,
-    tol: float,
-) -> ClassLabel:
-    label = identify_algebra(structure.algebra)
-    if label == alg.SL2:
-        label = _sl2_metric_split(structure)
-    if abs(raw_kappa) <= tol:
-        inv = Invariants(0.0, 0.0, 1.0)
-    else:
-        # Snap to the exact normalized pair (0, +-1).
-        inv = Invariants(0.0, math.copysign(1.0, raw_kappa), abs(raw_kappa) ** -0.5)
-    return ClassLabel(
-        algebra=label,
-        chi=inv.chi,
-        kappa=inv.kappa,
-        isometry_class_id=_class_id(inv.chi, inv.kappa, label),
-        case="chi=0",
-        dilation=inv.dilation,
-        raw_chi=raw_chi,
-        raw_kappa=raw_kappa,
         frame=frame,
     )
+
+
+def _chi_positive_case(structure: SRStructure, canon: AdaptedFrame) -> Tuple[str, str]:
+    """(label, case) from the zero pattern of the canonical-frame constants."""
+    ctol = rel_tol() * canon.scale
+    c01_2, c02_1 = canon.c01_2, canon.c02_1
+    z12_1 = abs(canon.c12_1) <= ctol
+    z12_2 = abs(canon.c12_2) <= ctol
+    z01_2 = abs(c01_2) <= ctol
+    z02_1 = abs(c02_1) <= ctol
+
+    if z12_1 and z12_2:
+        if z02_1:
+            return alg.SE2, "(i)(a)"
+        if z01_2:
+            return alg.SH2, "(i)(b)"
+        if c01_2 > 0 > c02_1:
+            return alg.SU2, "(i)(c)"
+        if c01_2 < 0 < c02_1:
+            return _sl2_metric_split(structure), "(i)(d)"
+        if c01_2 > 0 and c02_1 > 0:
+            return _sl2_metric_split(structure), "(i)(e)"
+        # chi > 0 forbids both c01_2 and c02_1 non-positive.
+        raise UnclassifiableError("sign pattern impossible for chi > 0")
+    if (not z12_2) and z02_1 and z12_1:
+        return alg.SOLV_PLUS, "(ii)"
+    if (not z12_1) and z01_2 and z12_2:
+        return alg.SOLV_MINUS, "(iii)"
+    raise UnclassifiableError("canonical constants violate the structural relations")
 
 
 def solvable_ratio_check(frame: AdaptedFrame, label: str) -> float:
@@ -237,112 +211,112 @@ _SQ5 = math.sqrt(5.0)
 _SQ10 = math.sqrt(10.0)
 
 
-def catalog() -> List[CatalogEntry]:
-    """The built-in regression catalog of standard structures.
+# Exact small-integer structure constants throughout; expected labels and
+# normalized invariants are frozen here and double as the regression oracle
+# for :func:`classify`.
+_CATALOG: Tuple[CatalogEntry, ...] = (
+    CatalogEntry(
+        "h3",
+        _structure({(0, 1): (0, 0, 1)}, [(1, 0, 0), (0, 1, 0)]),
+        alg.H3, 0.0, 0.0, "chi0.kappa0", "chi=0", model="heisenberg",
+    ),
+    CatalogEntry(
+        "su2_killing",
+        _structure(
+            {(0, 1): (0, 0, 1), (1, 2): (1, 0, 0), (2, 0): (0, 1, 0)},
+            [(1, 0, 0), (0, 1, 0)],
+        ),
+        alg.SU2, 0.0, 1.0, "chi0.kappa1", "chi=0", model="su2",
+    ),
+    CatalogEntry(
+        "sl2_elliptic_killing",
+        _structure(
+            {(0, 1): (0, 0, 1), (1, 2): (-1, 0, 0), (2, 0): (0, -1, 0)},
+            [(1, 0, 0), (0, 1, 0)],
+        ),
+        SL2_ELLIPTIC, 0.0, -1.0, "chi0.kappa-1", "chi=0", model="sl2",
+    ),
+    CatalogEntry(
+        "aplus",
+        _structure({(0, 1): (1, 0, 0)}, [(0, 1, 0), (1, 0, 1)]),
+        alg.A_PLUS_R, 0.0, -1.0, "chi0.kappa-1", "chi=0", model="a_plus_r",
+    ),
+    CatalogEntry(
+        "se2",
+        _structure(
+            {(2, 0): (0, 1, 0), (2, 1): (-1, 0, 0)},
+            [(1, 0, 0), (0, 0, 1)],
+        ),
+        alg.SE2, _SQ2, _SQ2, _class_id(_SQ2, _SQ2, alg.SE2), "(i)(a)",
+    ),
+    CatalogEntry(
+        "sh2",
+        _structure(
+            {(2, 0): (0, 1, 0), (2, 1): (1, 0, 0)},
+            [(1, 0, 0), (0, 0, 1)],
+        ),
+        alg.SH2, _SQ2, -_SQ2, _class_id(_SQ2, -_SQ2, alg.SH2), "(i)(b)",
+    ),
+    CatalogEntry(
+        "su2_round",
+        _structure(
+            {(0, 2): (0, 2, 0), (1, 2): (-1, 0, 0), (0, 1): (0, 0, -1)},
+            [(1, 0, 0), (0, 1, 0)],
+        ),
+        alg.SU2, 1 / _SQ10, 3 / _SQ10,
+        _class_id(1 / _SQ10, 3 / _SQ10, alg.SU2), "(i)(c)",
+    ),
+    CatalogEntry(
+        "sl2_elliptic_skew",
+        _structure(
+            {(0, 2): (0, -1, 0), (1, 2): (3, 0, 0), (0, 1): (0, 0, -1)},
+            [(1, 0, 0), (0, 1, 0)],
+        ),
+        SL2_ELLIPTIC, 1 / _SQ5, -2 / _SQ5,
+        _class_id(1 / _SQ5, -2 / _SQ5, SL2_ELLIPTIC), "(i)(d)",
+    ),
+    CatalogEntry(
+        "sl2_hyperbolic",
+        _structure(
+            {(0, 2): (0, 3, 0), (1, 2): (1, 0, 0), (0, 1): (0, 0, -1)},
+            [(1, 0, 0), (0, 1, 0)],
+        ),
+        SL2_HYPERBOLIC, 2 / _SQ5, 1 / _SQ5,
+        _class_id(2 / _SQ5, 1 / _SQ5, SL2_HYPERBOLIC), "(i)(e)",
+    ),
+    CatalogEntry(
+        "sl2_hyperbolic_balanced",
+        _structure(
+            {(0, 2): (0, 1, 0), (1, 2): (1, 0, 0), (0, 1): (0, 0, -1)},
+            [(1, 0, 0), (0, 1, 0)],
+        ),
+        SL2_HYPERBOLIC, 1.0, 0.0,
+        _class_id(1.0, 0.0, SL2_HYPERBOLIC), "(i)(e)",
+    ),
+    CatalogEntry(
+        "solv_plus",
+        _structure(
+            {(0, 1): (0, -1, -1), (0, 2): (0, 2, 0)},
+            [(1, 0, 0), (0, 1, 0)],
+        ),
+        alg.SOLV_PLUS, 1.0, 0.0,
+        _class_id(1.0, 0.0, alg.SOLV_PLUS), "(ii)",
+    ),
+    CatalogEntry(
+        "solv_minus",
+        _structure(
+            {(0, 1): (-1, 0, -1), (1, 2): (2, 0, 0)},
+            [(1, 0, 0), (0, 1, 0)],
+        ),
+        alg.SOLV_MINUS, 1 / _SQ5, -2 / _SQ5,
+        _class_id(1 / _SQ5, -2 / _SQ5, alg.SOLV_MINUS), "(iii)",
+    ),
+)
 
-    Exact small-integer structure constants throughout; expected labels and
-    normalized invariants are frozen here and double as the regression
-    oracle for :func:`classify`.
-    """
-    entries = [
-        CatalogEntry(
-            "h3",
-            _structure({(0, 1): (0, 0, 1)}, [(1, 0, 0), (0, 1, 0)]),
-            alg.H3, 0.0, 0.0, "chi0.kappa0", "chi=0", model="heisenberg",
-        ),
-        CatalogEntry(
-            "su2_killing",
-            _structure(
-                {(0, 1): (0, 0, 1), (1, 2): (1, 0, 0), (2, 0): (0, 1, 0)},
-                [(1, 0, 0), (0, 1, 0)],
-            ),
-            alg.SU2, 0.0, 1.0, "chi0.kappa1", "chi=0", model="su2",
-        ),
-        CatalogEntry(
-            "sl2_elliptic_killing",
-            _structure(
-                {(0, 1): (0, 0, 1), (1, 2): (-1, 0, 0), (2, 0): (0, -1, 0)},
-                [(1, 0, 0), (0, 1, 0)],
-            ),
-            SL2_ELLIPTIC, 0.0, -1.0, "chi0.kappa-1", "chi=0", model="sl2",
-        ),
-        CatalogEntry(
-            "aplus",
-            _structure({(0, 1): (1, 0, 0)}, [(0, 1, 0), (1, 0, 1)]),
-            alg.A_PLUS_R, 0.0, -1.0, "chi0.kappa-1", "chi=0", model="a_plus_r",
-        ),
-        CatalogEntry(
-            "se2",
-            _structure(
-                {(2, 0): (0, 1, 0), (2, 1): (-1, 0, 0)},
-                [(1, 0, 0), (0, 0, 1)],
-            ),
-            alg.SE2, _SQ2, _SQ2, _class_id(_SQ2, _SQ2, alg.SE2), "(i)(a)",
-        ),
-        CatalogEntry(
-            "sh2",
-            _structure(
-                {(2, 0): (0, 1, 0), (2, 1): (1, 0, 0)},
-                [(1, 0, 0), (0, 0, 1)],
-            ),
-            alg.SH2, _SQ2, -_SQ2, _class_id(_SQ2, -_SQ2, alg.SH2), "(i)(b)",
-        ),
-        CatalogEntry(
-            "su2_round",
-            _structure(
-                {(0, 2): (0, 2, 0), (1, 2): (-1, 0, 0), (0, 1): (0, 0, -1)},
-                [(1, 0, 0), (0, 1, 0)],
-            ),
-            alg.SU2, 1 / _SQ10, 3 / _SQ10,
-            _class_id(1 / _SQ10, 3 / _SQ10, alg.SU2), "(i)(c)",
-        ),
-        CatalogEntry(
-            "sl2_elliptic_skew",
-            _structure(
-                {(0, 2): (0, -1, 0), (1, 2): (3, 0, 0), (0, 1): (0, 0, -1)},
-                [(1, 0, 0), (0, 1, 0)],
-            ),
-            SL2_ELLIPTIC, 1 / _SQ5, -2 / _SQ5,
-            _class_id(1 / _SQ5, -2 / _SQ5, SL2_ELLIPTIC), "(i)(d)",
-        ),
-        CatalogEntry(
-            "sl2_hyperbolic",
-            _structure(
-                {(0, 2): (0, 3, 0), (1, 2): (1, 0, 0), (0, 1): (0, 0, -1)},
-                [(1, 0, 0), (0, 1, 0)],
-            ),
-            SL2_HYPERBOLIC, 2 / _SQ5, 1 / _SQ5,
-            _class_id(2 / _SQ5, 1 / _SQ5, SL2_HYPERBOLIC), "(i)(e)",
-        ),
-        CatalogEntry(
-            "sl2_hyperbolic_balanced",
-            _structure(
-                {(0, 2): (0, 1, 0), (1, 2): (1, 0, 0), (0, 1): (0, 0, -1)},
-                [(1, 0, 0), (0, 1, 0)],
-            ),
-            SL2_HYPERBOLIC, 1.0, 0.0,
-            _class_id(1.0, 0.0, SL2_HYPERBOLIC), "(i)(e)",
-        ),
-        CatalogEntry(
-            "solv_plus",
-            _structure(
-                {(0, 1): (0, -1, -1), (0, 2): (0, 2, 0)},
-                [(1, 0, 0), (0, 1, 0)],
-            ),
-            alg.SOLV_PLUS, 1.0, 0.0,
-            _class_id(1.0, 0.0, alg.SOLV_PLUS), "(ii)",
-        ),
-        CatalogEntry(
-            "solv_minus",
-            _structure(
-                {(0, 1): (-1, 0, -1), (1, 2): (2, 0, 0)},
-                [(1, 0, 0), (0, 1, 0)],
-            ),
-            alg.SOLV_MINUS, 1 / _SQ5, -2 / _SQ5,
-            _class_id(1 / _SQ5, -2 / _SQ5, alg.SOLV_MINUS), "(iii)",
-        ),
-    ]
-    return entries
+
+def catalog() -> Tuple[CatalogEntry, ...]:
+    """The built-in regression catalog of standard structures (one shared tuple)."""
+    return _CATALOG
 
 
 def catalog_entry(name: str) -> CatalogEntry:

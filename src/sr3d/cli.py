@@ -62,9 +62,9 @@ def structure_from_dict(data: Dict[str, Any]) -> tuple[str, SRStructure]:
     grouped: Dict[tuple, Dict[int, float]] = {}
     for row in brackets:
         try:
-            i, j, k = int(row["i"]), int(row["j"]), int(row["k"])
+            i, j, k = (_index(row[key]) for key in "ijk")
             value = float(row["value"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise StructureParseError(f"malformed bracket entry {row!r}") from exc
         if not all(0 <= idx <= 2 for idx in (i, j, k)):
             raise StructureParseError(f"bracket indices out of range in {row!r}")
@@ -75,12 +75,12 @@ def structure_from_dict(data: Dict[str, Any]) -> tuple[str, SRStructure]:
     span = data.get("span")
     try:
         span_arr = np.asarray(span, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StructureParseError("'span' must be two coefficient triples") from exc
     gram = data.get("gram", [[1.0, 0.0], [0.0, 1.0]])
     try:
         gram_arr = np.asarray(gram, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StructureParseError("'gram' must be a 2x2 matrix") from exc
     try:
         algebra = LieAlgebra3.from_brackets(
@@ -90,6 +90,14 @@ def structure_from_dict(data: Dict[str, Any]) -> tuple[str, SRStructure]:
     except ValueError as exc:
         raise StructureParseError(str(exc)) from exc
     return name, structure
+
+
+def _index(raw: Any) -> int:
+    """A bracket index given as an integral number; 1.0 reads as 1, 0.7 is an error."""
+    x = float(raw)
+    if not x.is_integer():
+        raise ValueError(f"non-integral index {raw!r}")
+    return int(x)
 
 
 def structure_to_dict(name: str, structure: SRStructure) -> Dict[str, Any]:
@@ -119,7 +127,9 @@ def load_structure_file(path: str) -> tuple[str, SRStructure]:
             data = json.load(fh)
     except OSError as exc:
         raise StructureParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, undecodable bytes, integer literals over Python's
+        # digit limit, and nesting deeper than the recursion limit.
         raise StructureParseError(f"invalid JSON in {path}: {exc}") from exc
     return structure_from_dict(data)
 
@@ -297,6 +307,8 @@ def _parse_covector(raw: str) -> tuple[float, float, float]:
         h1, h2, h0 = (float(p) for p in parts)
     except ValueError as exc:
         raise StructureParseError(f"bad covector {raw!r}") from exc
+    if not all(map(math.isfinite, (h1, h2, h0))):
+        raise StructureParseError(f"--covector must be finite, got {raw!r}")
     return h1, h2, h0
 
 
@@ -334,7 +346,7 @@ def cmd_distance(args) -> int:
     if args.target:
         try:
             target = np.asarray(json.loads(args.target), dtype=float)
-        except (json.JSONDecodeError, ValueError) as exc:
+        except (ValueError, OverflowError, RecursionError) as exc:
             raise StructureParseError(f"bad --target: {exc}") from exc
     else:
         target = model.identity

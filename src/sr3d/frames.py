@@ -119,9 +119,6 @@ def orthonormalize(structure: SRStructure) -> Tuple[Vector3, Vector3]:
     the gram matrix.
     """
     g = structure.gram
-    eigs = np.linalg.eigvalsh(g)
-    if eigs[0] <= 1e-12 * max(1.0, float(np.max(np.abs(g)))):
-        raise ValueError("degenerate gram matrix")
     n1 = math.sqrt(g[0, 0])
     f1 = structure.v1 / n1
     # <v2, f1> = g12 / n1; subtract the projection, then normalize with the
@@ -133,19 +130,20 @@ def orthonormalize(structure: SRStructure) -> Tuple[Vector3, Vector3]:
 
 
 def check_contact(structure: SRStructure) -> bool:
-    """True iff [v1, v2] has a nonzero component transverse to span{v1, v2}."""
-    v = bracket(structure.algebra, structure.v1, structure.v2)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return False
-    residual = v - _project_onto_span(v, structure.span)
-    return float(np.linalg.norm(residual)) > rel_tol() * norm
+    """True iff |[v1, v2] . n| > rel_tol() |[v1, v2]| |n| for the normal n = v1 x v2."""
+    v1, v2 = structure.v1, structure.v2
+    return _normal_component(bracket(structure.algebra, v1, v2), v1, v2)[0] != 0.0
 
 
-def _project_onto_span(v: Vector3, span: np.ndarray) -> Vector3:
-    """Euclidean coordinate projection of v onto the row space of span."""
-    q, _ = np.linalg.qr(span.T)
-    return q @ (q.T @ v)
+def _normal_component(v: Vector3, a: Vector3, b: Vector3) -> Tuple[float, Tuple[float, ...]]:
+    """(v . n, n) for n = a x b, with v . n set to 0.0 if |v . n| <= rel_tol() |v| |n|."""
+    (a1, a2, a3), (b1, b2, b3) = a.tolist(), b.tolist()
+    n = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    v = v.tolist()
+    vn = v[0] * n[0] + v[1] * n[1] + v[2] * n[2]
+    if abs(vn) <= rel_tol() * math.hypot(*v) * math.hypot(*n):
+        vn = 0.0
+    return vn, n
 
 
 def frame_from_orthonormal(algebra: LieAlgebra3, f1: Vector3, f2: Vector3) -> AdaptedFrame:
@@ -159,9 +157,7 @@ def frame_from_orthonormal(algebra: LieAlgebra3, f1: Vector3, f2: Vector3) -> Ad
     f1 = as_vector3(f1)
     f2 = as_vector3(f2)
     v = bracket(algebra, f2, f1)
-    norm_v = float(np.linalg.norm(v))
-    residual = v - _project_onto_span(v, np.vstack([f1, f2]))
-    if norm_v == 0.0 or float(np.linalg.norm(residual)) <= rel_tol() * norm_v:
+    if _normal_component(v, f1, f2)[0] == 0.0:
         raise NotBracketGeneratingError(
             "distribution is a subalgebra - not bracket generating"
         )
@@ -179,7 +175,7 @@ def frame_from_orthonormal(algebra: LieAlgebra3, f1: Vector3, f2: Vector3) -> Ad
     frame_basis = np.column_stack([f1, f2, f0])
     w10 = np.linalg.solve(frame_basis, bracket(algebra, f1, f0))
     w20 = np.linalg.solve(frame_basis, bracket(algebra, f2, f0))
-    w21 = np.linalg.solve(frame_basis, bracket(algebra, f2, f1))
+    w21 = np.linalg.solve(frame_basis, v)
 
     # Both residuals vanish analytically (the first by the solve above, the
     # second by construction of f0), so only rounding can show up here.
@@ -210,22 +206,22 @@ def reeb_frame(structure: SRStructure) -> AdaptedFrame:
     [f2, f1] points toward positive first significant coordinate.  This
     makes the output independent of the order and of any constant rotation
     of the input generators, so f0 is well defined by the structure alone.
+    That transverse part is (v . n / |n|^2) n for v = [f2, f1] and
+    n = f1 x f2, so its leading sign is sign(v . n) times that of n.
     """
     if not check_contact(structure):
         raise NotBracketGeneratingError(
             "distribution is a subalgebra - not bracket generating"
         )
     f1, f2 = orthonormalize(structure)
-    v = bracket(structure.algebra, f2, f1)
-    transverse = v - _project_onto_span(v, np.vstack([f1, f2]))
-    lead = _first_significant(transverse)
-    if lead < 0:
+    vn, n = _normal_component(bracket(structure.algebra, f2, f1), f1, f2)
+    if vn * _first_significant(n) < 0:
         f1, f2 = f2, f1
     return frame_from_orthonormal(structure.algebra, f1, f2)
 
 
-def _first_significant(v: Vector3) -> float:
-    threshold = rel_tol() * float(np.max(np.abs(v)))
+def _first_significant(v) -> float:
+    threshold = rel_tol() * max(abs(x) for x in v)
     for x in v:
         if abs(x) > threshold:
             return float(x)

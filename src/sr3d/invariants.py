@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import rel_tol
-from .frames import AdaptedFrame, frame_from_orthonormal, rotate_frame
+from .frames import AdaptedFrame, frame_from_orthonormal
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,12 @@ def canonical_frame(frame: AdaptedFrame) -> AdaptedFrame:
     at double angle under frame rotations, so theta = (-atan2(a, b)/2) mod pi
     is the smallest non-negative angle giving an off-diagonal form with
     positive entry chi.  The leftover sign freedom (flipping f1 or f2
-    together with f0) is fixed by forcing c12_1 >= 0 first and c12_2 >= 0
-    second; neither flip touches c01_2, c02_1 or the invariants.
+    together with f0) is fixed by forcing c12_1 >= 0 and c12_2 >= 0;
+    neither flip touches c01_2, c02_1 or the invariants.  Rotating turns
+    (c12_1, c12_2) by -theta, flipping f2 negates c12_1 and flipping f1
+    negates c12_2, so theta and both signs are read off the input frame and
+    the frame is built once.  A rotated c12 component at rounding level
+    leaves the matching sign to that rounding.
 
     In the resulting frame the consistency relations c02_1 * c12_2 = 0 and
     c01_2 * c12_1 = 0 hold automatically (they are the Jacobi identity of
@@ -110,19 +114,19 @@ def canonical_frame(frame: AdaptedFrame) -> AdaptedFrame:
         raise ChiZeroError("chi = 0: no canonical rotation; classify by kappa")
 
     theta = (-0.5 * math.atan2(a, b)) % math.pi
-    rotated = rotate_frame(frame, theta)
+    c, s = math.cos(theta), math.sin(theta)
+    s1 = -1.0 if c * frame.c12_2 - s * frame.c12_1 < 0 else 1.0
+    s2 = -1.0 if c * frame.c12_1 + s * frame.c12_2 < 0 else 1.0
+    f1 = s1 * (c * frame.f1 + s * frame.f2)
+    f2 = s2 * (c * frame.f2 - s * frame.f1)
+    canon = frame_from_orthonormal(frame.algebra, f1, f2)
 
-    if rotated.c12_1 < 0:
-        rotated = frame_from_orthonormal(rotated.algebra, rotated.f1, -rotated.f2)
-    if rotated.c12_2 < 0:
-        rotated = frame_from_orthonormal(rotated.algebra, -rotated.f1, rotated.f2)
-
-    tol = rel_tol() * rotated.scale
-    q = bracket_form(rotated)
+    tol = rel_tol() * canon.scale
+    q = bracket_form(canon)
     if abs(q[0, 0]) > tol or q[0, 1] <= 0:
         raise AssertionError("canonical rotation failed to produce the target form")
-    if abs(rotated.c02_1 * rotated.c12_2) > tol * rotated.scale:
+    if abs(canon.c02_1 * canon.c12_2) > tol * canon.scale:
         raise AssertionError("canonical frame violates c02_1 * c12_2 = 0")
-    if abs(rotated.c01_2 * rotated.c12_1) > tol * rotated.scale:
+    if abs(canon.c01_2 * canon.c12_1) > tol * canon.scale:
         raise AssertionError("canonical frame violates c01_2 * c12_1 = 0")
-    return rotated
+    return canon

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from sr3d.algebra import SE2, SH2, SOLV_MINUS, SOLV_PLUS, SU2, is_unimodular
@@ -12,6 +13,8 @@ from sr3d.classify import (
     figure1_data,
     solvable_ratio_check,
 )
+import sr3d.frames
+import sr3d.invariants
 from sr3d.frames import check_contact, reeb_frame
 from sr3d.invariants import canonical_frame, compute_chi, compute_kappa
 
@@ -178,6 +181,31 @@ class TestSolvableRatio:
         fr = reeb_frame(catalog_entry("se2").structure)
         with pytest.raises(ValueError, match="solvable"):
             solvable_ratio_check(fr, "se(2)")
+
+
+def test_classify_builds_each_frame_once_without_qr(monkeypatch, entries, rng):
+    structures = [e.structure for e in entries]
+    structures += [re_present(e.structure, rng) for e in entries for _ in range(3)]
+    calls = {"frame": 0, "qr": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    frame_builder = counted("frame", sr3d.frames.frame_from_orthonormal)
+    monkeypatch.setattr(sr3d.frames, "frame_from_orthonormal", frame_builder)
+    monkeypatch.setattr(sr3d.invariants, "frame_from_orthonormal", frame_builder)
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    most = 0
+    for s in structures:
+        calls.update(frame=0, qr=0)
+        classify(s)
+        assert calls["frame"] <= 2 and calls["qr"] == 0, calls
+        most = max(most, calls["frame"])
+    # The Reeb frame plus the canonical frame: the counter does see both.
+    assert most == 2
 
 
 class TestStability:

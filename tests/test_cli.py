@@ -2,6 +2,8 @@ import json
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sr3d.classify import catalog, classify
 from sr3d.cli import (
@@ -93,6 +95,27 @@ class TestClassifyCommand:
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "broken.json", "{nope")
         assert main(["classify", "--input", path]) == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"brackets": [{"i": Infinity, "j": 1, "k": 2, "value": 1}], "span": %s}',
+            '{"brackets": [{"i": 0, "j": 1, "k": 2, "value": 1%s}], "span": %%s}' % ("0" * 400),
+            '{"brackets": [], "span": [[1%s, 0, 0], [0, 1, 0]]}' % ("0" * 400),
+            '{"brackets": [{"i": 0, "j": 1, "k": 2, "value": 1%s}], "span": %%s}' % ("0" * 4400),
+            '{"brackets": [{"i": 0.7, "j": 1.9, "k": 2, "value": 1}], "span": %s}',
+            "[" * 100000 + "]" * 100000,
+        ],
+        ids=["infinite-index", "huge-value", "huge-span-entry", "over-digit-limit",
+             "non-integral-index", "deep-nesting"],
+    )
+    def test_malformed_file_is_one_error_line(self, tmp_path, capsys, payload):
+        if "%s" in payload:
+            payload = payload % "[[1, 0, 0], [0, 1, 0]]"
+        path = write(tmp_path, "malformed.json", payload)
+        assert main(["classify", "--input", path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
 
     def test_conflicting_duplicate_brackets_rejected(self, tmp_path):
         path = write(
@@ -203,6 +226,12 @@ class TestGeodesicCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("covector", ["nan,0,0", "1,inf,0", "0,0,-inf"])
+    def test_non_finite_covector_is_parse_error(self, capsys, covector):
+        assert main(["geodesic", "--model", "sl2", "--covector", covector]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_zero_covector_constant_trajectory(self, capsys):
         code = main(
             ["geodesic", "--model", "sl2", "--covector", "0,0,0", "--json"]
@@ -235,6 +264,16 @@ class TestDistanceCommand:
             warnings.simplefilter("error")
             code = main(["distance", "--model", "sl2", "--target", "[[1e300, 0], [0, 1e-300]]"])
         assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+    @pytest.mark.parametrize(
+        "target", ["[[1%s, 0], [0, 1]]" % ("0" * 400), "[" * 100000 + "]" * 100000],
+        ids=["too-large-for-a-float", "deep-nesting"],
+    )
+    def test_unreadable_target_is_parse_error(self, capsys, target):
+        assert main(["distance", "--model", "sl2", "--target", target]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
@@ -304,3 +343,44 @@ def test_bad_tolerance_setting_is_parse_error(monkeypatch, capsys, h3_file, valu
         assert main(argv) == EXIT_PARSE, argv
         err = capsys.readouterr().err
         assert err.startswith("error: SR3D_TOL") and err.count("\n") == 1, err
+
+
+# JSON-shaped values: ints up to the decoder's 4300-digit limit, floats with
+# inf and NaN, strings, bools and None, nested in lists and objects.  Rows and
+# matrices of the expected shape are drawn often, so bad entries reach the
+# conversions behind the shape checks.
+_SCALAR = (
+    st.none() | st.booleans() | st.text(max_size=3) | st.integers(-3, 3)
+    | st.integers(-(10**1000), 10**1000) | st.floats(allow_nan=True, allow_infinity=True)
+)
+_JSON = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["i", "j", "k", "value"]), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _rows_of(width, count):
+    return st.lists(st.lists(_SCALAR, min_size=width, max_size=width),
+                    min_size=count, max_size=count)
+
+
+_INDEX = st.integers(0, 2) | _SCALAR
+_BRACKET_ROW = st.fixed_dictionaries(
+    {"i": _INDEX, "j": _INDEX, "k": _INDEX, "value": _SCALAR}
+) | st.dictionaries(st.sampled_from(["i", "j", "k", "value"]), _JSON)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fixed_dictionaries({}, optional={
+    "name": st.text(max_size=5) | _JSON,
+    "brackets": st.lists(_BRACKET_ROW, max_size=3) | _JSON,
+    "span": _rows_of(3, 2) | _JSON,
+    "gram": _rows_of(2, 2) | _JSON,
+}))
+def test_parser_returns_or_raises_parse_error(data):
+    try:
+        structure_from_dict(data)
+    except StructureParseError:
+        pass

@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from sr3d.classify import catalog_entry
-from sr3d.frames import SRStructure, frame_from_orthonormal, reeb_frame, rotate_frame
+from sr3d.algebra import bracket
+from sr3d.classify import _chi_positive_case, catalog_entry
+from sr3d.config import rel_tol
+from sr3d.frames import (
+    NotBracketGeneratingError,
+    SRStructure,
+    frame_from_orthonormal,
+    orthonormalize,
+    reeb_frame,
+    rotate_frame,
+)
 from sr3d.invariants import (
     ChiZeroError,
     bracket_form,
@@ -14,7 +23,7 @@ from sr3d.invariants import (
     normalize,
 )
 
-from conftest import frame_structure
+from conftest import frame_structure, re_present
 
 E = np.eye(3)
 SQ2 = math.sqrt(2.0)
@@ -192,3 +201,50 @@ class TestInvarianceProperties:
             chi_is_zero = compute_chi(fr) <= 1e-9 * fr.scale
             form_is_zero = np.max(np.abs(bracket_form(fr))) <= 1e-9 * fr.scale
             assert chi_is_zero == form_is_zero, entry.name
+
+
+def _qr_transverse(v, a, b):
+    """Component of v orthogonal to span{a, b}, through a QR projection."""
+    q, _ = np.linalg.qr(np.column_stack([a, b]))
+    return v - q @ (q.T @ v)
+
+
+def _rebuild_chain_reeb_frame(structure):
+    """Reference Reeb frame: QR contact test and QR orientation."""
+    algebra, v1, v2 = structure.algebra, structure.v1, structure.v2
+    v = bracket(algebra, v1, v2)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0 or np.linalg.norm(_qr_transverse(v, v1, v2)) <= rel_tol() * norm:
+        raise NotBracketGeneratingError("not bracket generating")
+    f1, f2 = orthonormalize(structure)
+    t = _qr_transverse(bracket(algebra, f2, f1), f1, f2)
+    lead = next((x for x in t if abs(x) > rel_tol() * np.max(np.abs(t))), 0.0)
+    if lead < 0:
+        f1, f2 = f2, f1
+    return frame_from_orthonormal(algebra, f1, f2)
+
+
+def _rebuild_chain_canonical_frame(frame):
+    """Reference canonical frame: rotate_frame, then one rebuild per sign flip."""
+    a, b = frame.c01_1, 0.5 * (frame.c01_2 + frame.c02_1)
+    rotated = rotate_frame(frame, (-0.5 * math.atan2(a, b)) % math.pi)
+    if rotated.c12_1 < 0:
+        rotated = frame_from_orthonormal(rotated.algebra, rotated.f1, -rotated.f2)
+    if rotated.c12_2 < 0:
+        rotated = frame_from_orthonormal(rotated.algebra, -rotated.f1, rotated.f2)
+    return rotated
+
+
+def test_single_builds_match_the_rebuild_chain(entries, rng):
+    structures = [e.structure for e in entries]
+    structures += [re_present(entries[k % len(entries)].structure, rng) for k in range(200)]
+    for s in structures:
+        reeb, expected_reeb = reeb_frame(s), _rebuild_chain_reeb_frame(s)
+        assert np.allclose(reeb.constants, expected_reeb.constants, rtol=0, atol=1e-12)
+        assert np.allclose(reeb.f0, expected_reeb.f0, rtol=0, atol=1e-12)
+        if compute_chi(reeb) <= rel_tol() * reeb.scale:
+            continue
+        canon = canonical_frame(reeb)
+        expected = _rebuild_chain_canonical_frame(expected_reeb)
+        assert np.allclose(canon.constants, expected.constants, rtol=0, atol=1e-12)
+        assert _chi_positive_case(s, canon) == _chi_positive_case(s, expected)

@@ -258,7 +258,7 @@ class TestControlFlows:
         for _ in range(8):
             n_seg = int(rng.integers(1, 6))
             schedule = [tuple(rng.uniform(-1, 1, size=3)) for _ in range(n_seg)]
-            assert iso.nagano_check(schedule, 1.0, steps=4000) <= 1e-6
+            assert iso.nagano_check(schedule, 1.0, steps=iso.NAGANO_STEPS) <= 1e-6
 
     def test_chart_exit_detected(self):
         with pytest.raises(iso.ChartExitError):
