@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
@@ -45,6 +46,14 @@ class StructureParseError(ValueError):
     pass
 
 
+# Echoes a bracket row in an error message at a bounded length, whatever
+# the row holds: a 4000-digit value prints as its ends around "...".
+_ROW_REPR = reprlib.Repr()
+_ROW_REPR.maxlevel = 2
+_ROW_REPR.maxdict = _ROW_REPR.maxlist = 4
+_ROW_REPR.maxstring = _ROW_REPR.maxlong = _ROW_REPR.maxother = 16
+
+
 # --- structure files ---------------------------------------------------------
 
 def structure_from_dict(data: Dict[str, Any]) -> tuple[str, SRStructure]:
@@ -65,9 +74,9 @@ def structure_from_dict(data: Dict[str, Any]) -> tuple[str, SRStructure]:
             i, j, k = (_index(row[key]) for key in "ijk")
             value = float(row["value"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise StructureParseError(f"malformed bracket entry {row!r}") from exc
+            raise StructureParseError(f"malformed bracket entry {_ROW_REPR.repr(row)}") from exc
         if not all(0 <= idx <= 2 for idx in (i, j, k)):
-            raise StructureParseError(f"bracket indices out of range in {row!r}")
+            raise StructureParseError(f"bracket indices out of range in {_ROW_REPR.repr(row)}")
         coeffs = grouped.setdefault((i, j), {})
         if k in coeffs and coeffs[k] != value:
             raise StructureParseError(f"conflicting duplicate bracket {(i, j, k)}")
@@ -378,6 +387,8 @@ PSI_MUTANTS = {
 
 
 def cmd_certify_isometry(args) -> int:
+    if args.samples < 0:
+        raise StructureParseError(f"--samples must be >= 0, got {args.samples}")
     psi = isometry.psi_entries
     if args.mutate:
         if args.mutate not in PSI_MUTANTS:

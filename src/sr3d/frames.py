@@ -31,6 +31,26 @@ class NotBracketGeneratingError(ValueError):
     """The distribution is a subalgebra, hence not bracket generating."""
 
 
+def _sym2_eigenvalues(a: float, b: float, c: float) -> Tuple[float, float]:
+    """(lower, higher) eigenvalue of the symmetric matrix [[a, b], [b, c]].
+
+    Above zero the lower one is det / higher, which stays accurate when it
+    is small against the higher.
+    """
+    mean, radius = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+    high = mean + radius
+    return ((a * c - b * b) / high if high > 0.0 else mean - radius), high
+
+
+def _span_sigma2(x1, y1, z1, x2, y2, z2) -> float:
+    """Smaller singular value of the 2x3 matrix with rows v1, v2 (entries <= 1
+    in size, one of them 1): |v1 x v2| over the larger singular value."""
+    sigma1 = math.sqrt(_sym2_eigenvalues(
+        x1 * x1 + y1 * y1 + z1 * z1, x1 * x2 + y1 * y2 + z1 * z2, x2 * x2 + y2 * y2 + z2 * z2,
+    )[1])
+    return math.hypot(y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2) / sigma1
+
+
 @dataclass(frozen=True)
 class SRStructure:
     """A 2D distribution with inner product inside a 3D Lie algebra.
@@ -47,22 +67,32 @@ class SRStructure:
     gram: np.ndarray
 
     def __post_init__(self):
+        # Rank, symmetry and definiteness are closed forms on plain floats,
+        # since on 2x3 and 2x2 inputs numpy's per-call cost is most of the
+        # work.  Thresholds are those of numpy's matrix_rank / eigvalsh test;
+        # entries are divided by the largest one so nothing can overflow.
         span = np.asarray(self.span, dtype=float)
         if span.shape != (2, 3):
             raise ValueError(f"span must hold two 3-vectors, got shape {span.shape}")
-        if not np.all(np.isfinite(span)):
+        entries = span.ravel().tolist()
+        if not all(map(math.isfinite, entries)):
             raise ValueError("span coefficients must be finite")
-        if np.linalg.matrix_rank(span, tol=1e-12 * max(1.0, np.max(np.abs(span)))) < 2:
+        m = max(map(abs, entries))
+        if m == 0.0 or _span_sigma2(*(x / m for x in entries)) <= 1e-12 * max(1.0 / m, 1.0):
             raise ValueError("span vectors are linearly dependent")
         gram = np.asarray(self.gram, dtype=float)
         if gram.shape != (2, 2):
             raise ValueError(f"gram must be 2x2, got shape {gram.shape}")
-        if not np.isfinite(gram).all():
+        (g00, g01), (g10, g11) = gram.tolist()
+        if not all(map(math.isfinite, (g00, g01, g10, g11))):
             raise ValueError("gram entries must be finite")
-        if not np.allclose(gram, gram.T, rtol=0, atol=1e-12 * (1 + np.max(np.abs(gram)))):
+        m = max(abs(g00), abs(g01), abs(g10), abs(g11))
+        if not abs(g01 - g10) <= 1e-12 * (1 + m):
             raise ValueError("gram matrix must be symmetric")
-        eigs = np.linalg.eigvalsh(gram)
-        if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
+        if m == 0.0:
+            raise ValueError("gram matrix must be positive definite")
+        low, high = _sym2_eigenvalues(g00 / m, 0.5 * (g01 / m + g10 / m), g11 / m)
+        if low <= 1e-12 * max(1.0 / m, high):
             raise ValueError("gram matrix must be positive definite")
         span = span.copy()
         span.flags.writeable = False

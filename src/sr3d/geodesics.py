@@ -25,6 +25,11 @@ stability function R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
 Four models are provided: the 3x3 unipotent realization of the Heisenberg
 group, the 3x3 affine realization of A+(R) x R, SL(2) as 2x2 matrices, and
 SU(2) as unit quaternions (kept in real arithmetic on purpose).
+
+Importing this module does not import scipy: ``scipy.optimize.minimize``
+(the shooting refinement's Nelder-Mead) is loaded the first time
+:func:`shoot_distance` refines a start, or ``geodesics.minimize`` is read,
+and is then bound as the module attribute ``minimize``.
 """
 
 from __future__ import annotations
@@ -36,12 +41,22 @@ from dataclasses import dataclass, field
 from typing import IO, List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .classify import catalog_entry
 from .frames import AdaptedFrame, frame_from_orthonormal, reeb_frame
 
 MODEL_IDS = ("heisenberg", "a_plus_r", "sl2", "su2")
+
+
+def __getattr__(name):
+    # PEP 562: ``minimize`` is scipy's, imported on first use and then kept
+    # in the module globals, where a wrapper or monkeypatch can replace it.
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        globals()["minimize"] = minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class IntegrationBlowUpError(RuntimeError):
@@ -453,10 +468,12 @@ def shoot_distance(
     ``budget`` iterations).  Returns the shortest refined hit whose endpoint
     error is below 1e-6, else the best found with its error.  Candidates are
     reduced in grid-index order, so the result is schedule-independent.
-    A target of the wrong shape, with a non-finite entry or whose norm
-    overflows raises ValueError; a non-finite endpoint met during the search
-    raises :class:`IntegrationBlowUpError`.
+    A budget below 1, or a target of the wrong shape, with a non-finite
+    entry or whose norm overflows raises ValueError; a non-finite endpoint
+    met during the search raises :class:`IntegrationBlowUpError`.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     target = np.asarray(target, dtype=float)
     if target.shape != model.identity.shape:
         raise ValueError(f"target shape {target.shape} does not match the model's {model.identity.shape}")
@@ -493,6 +510,8 @@ def shoot_distance(
             )
     candidates.sort()  # lexicographic: error first, then grid indices
 
+    # Read at call time, so that a replaced ``geodesics.minimize`` is used.
+    minimize = globals().get("minimize") or __getattr__("minimize")
     hits = []
     best = None
     for err, _, _, alpha, h0, t in candidates[:3]:

@@ -403,8 +403,10 @@ def run_certification(
     brackets 2x, the control-flow rows (intertwining and its step-doubling
     discretisation estimate) 1x, each schedule flown at ``nagano_steps``
     and at half that, and the pushforward rows 0.4x.  With samples = 0 only
-    the exact fixed-point checks run.
+    the exact fixed-point checks run; samples < 0 raises ValueError.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     rng = np.random.default_rng(seed)
     results: List[CheckResult] = []
 

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -116,6 +120,14 @@ class TestClassifyCommand:
         assert main(["classify", "--input", path]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
+
+    def test_long_bracket_value_is_one_short_error_line(self, tmp_path, capsys):
+        payload = ('{"brackets": [{"i": 0, "j": 1, "k": 2, "value": 1%s}], '
+                   '"span": [[1, 0, 0], [0, 1, 0]]}' % ("0" * 3999))
+        assert main(["classify", "--input", write(tmp_path, "long.json", payload)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed bracket entry") and err.count("\n") == 1
+        assert len(err.rstrip("\n")) <= 200, err[:300]
 
     def test_conflicting_duplicate_brackets_rejected(self, tmp_path):
         path = write(
@@ -268,6 +280,12 @@ class TestDistanceCommand:
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_bad_budget_is_parse_error(self, capsys, budget):
+        assert main(["distance", "--model", "sl2", "--budget", budget]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == f"error: budget must be >= 1, got {budget}\n"
+
     @pytest.mark.parametrize(
         "target", ["[[1%s, 0], [0, 1]]" % ("0" * 400), "[" * 100000 + "]" * 100000],
         ids=["too-large-for-a-float", "deep-nesting"],
@@ -310,6 +328,12 @@ class TestCertifyCommand:
         code = main(["certify-isometry", "--samples", "1", "--mutate", "nope"])
         assert code == EXIT_PARSE
 
+    def test_negative_samples_is_parse_error(self, capsys):
+        assert main(["certify-isometry", "--samples", "-2"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == "error: --samples must be >= 0, got -2\n"
+        assert captured.out == ""
+
     def test_samples_zero_runs_fixed_point_checks_only(self, capsys):
         assert main(["certify-isometry", "--samples", "0"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -320,8 +344,6 @@ class TestCertifyCommand:
 
 class TestSampleFiles:
     def test_shipped_examples_parse_and_classify(self, capsys):
-        import pathlib
-
         root = pathlib.Path(__file__).resolve().parents[1] / "sample_structures"
         heis = root / "heisenberg.json"
         assert main(["classify", "--input", str(heis), "--json"]) == EXIT_OK
@@ -332,6 +354,31 @@ class TestSampleFiles:
         assert main(["classify", "--input", str(root / "aplus.json"), "--json"]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert data["kappa"] == -1.0
+
+
+def test_only_a_refining_distance_query_imports_scipy():
+    # Run in a fresh interpreter: this one has scipy loaded by the tests.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    heis = str(root / "sample_structures" / "heisenberg.json")
+    argvs = [["catalog"], ["figure1"], ["classify", "--input", heis],
+             ["invariants", "--input", heis], ["geodesic", "--model", "sl2", "--steps", "10"],
+             ["certify-isometry", "--samples", "1"], ["distance", "--model", "sl2"]]
+    script = (
+        "import json, sys\n"
+        "import sr3d, sr3d.cli, sr3d.isometry\n"
+        f"codes = [sr3d.cli.main(argv) for argv in {argvs!r}]\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [EXIT_OK] * len(argvs)
+    assert loaded == []
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1e-9"])

@@ -72,6 +72,69 @@ class TestOrthonormalize:
             )
 
 
+def _numpy_verdict(span, gram):
+    """Which check rejects (span, gram), by numpy rank and eigenvalue tests.
+
+    The reference for SRStructure's closed forms, with the same thresholds.
+    """
+    if np.linalg.matrix_rank(span, tol=1e-12 * max(1.0, np.max(np.abs(span)))) < 2:
+        return "linearly dependent"
+    if not np.allclose(gram, gram.T, rtol=0, atol=1e-12 * (1 + np.max(np.abs(gram)))):
+        return "symmetric"
+    eigs = np.linalg.eigvalsh(gram)
+    if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
+        return "positive definite"
+    return "accepted"
+
+
+class TestStructureChecks:
+    def test_verdicts_match_numpy_rank_and_eigenvalue_tests(self, rng):
+        # Near-dependent spans and near-singular or slightly asymmetric grams,
+        # with entries from 1e-300 to 1e300, so every verdict is reached
+        # close to its threshold and far from it.
+        seen = set()
+        for trial in range(4000):
+            v1 = rng.normal(size=3)
+            near = 10.0 ** rng.uniform(-20, 0) * rng.normal(size=3)
+            v2 = rng.normal() * v1 + near if trial % 4 else rng.normal(size=3)
+            span = 10.0 ** rng.integers(-300, 300) * np.array([v1, v2])
+            a = rng.normal(size=(2, 2))
+            gram = a @ a.T
+            if trial % 3 == 0:
+                shift = np.linalg.eigvalsh(gram)[0] - 10.0 ** rng.uniform(-20, 0)
+                gram -= shift * np.eye(2)
+            if trial % 7 == 0:
+                gram[0, 1] += 10.0 ** rng.uniform(-20, 0)
+            gram *= 10.0 ** rng.integers(-300, 300)
+            want = _numpy_verdict(span, gram)
+            try:
+                SRStructure(HEISENBERG.algebra, span, gram)
+                got = "accepted"
+            except ValueError as exc:
+                got = str(exc)
+            assert want in got, (want, got, span.tolist(), gram.tolist())
+            seen.add(want)
+        assert len(seen) == 4
+
+    @pytest.mark.parametrize("span, gram, message", [
+        (np.zeros((2, 3)), np.eye(2), "span vectors are linearly dependent"),
+        ([[1.0, 2, 3], [2.0, 4, 6]], np.eye(2), "span vectors are linearly dependent"),
+        (np.eye(3)[:2], [[1.0, 0.5], [0.0, 1.0]], "gram matrix must be symmetric"),
+        (np.eye(3)[:2], np.zeros((2, 2)), "gram matrix must be positive definite"),
+        (np.eye(3)[:2], -np.eye(2), "gram matrix must be positive definite"),
+        (np.eye(3)[:2], [[1e300, 0.0], [0.0, 1e-300]], "gram matrix must be positive definite"),
+    ])
+    def test_rejections_name_the_failed_check(self, span, gram, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SRStructure(HEISENBERG.algebra, np.asarray(span), np.asarray(gram))
+
+    def test_stored_arrays_are_read_only_and_gram_symmetric(self):
+        gram = np.array([[2.0, 0.5], [0.5 + 1e-13, 1.0]])
+        s = SRStructure(HEISENBERG.algebra, np.eye(3)[:2], gram)
+        assert not s.span.flags.writeable and not s.gram.flags.writeable
+        assert s.gram[0, 1] == s.gram[1, 0] == 0.5 * (gram[0, 1] + gram[1, 0])
+
+
 class TestCheckContact:
     def test_heisenberg_is_contact(self):
         assert check_contact(HEISENBERG)

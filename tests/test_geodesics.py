@@ -355,6 +355,37 @@ class TestShooting:
         with pytest.raises(ValueError):
             shoot_distance(models["sl2"], target)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_bad_budget_fails_before_the_target_check(self, models, monkeypatch, budget):
+        def grid(*args):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(geodesics, "_batched_endpoints", grid)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            shoot_distance(models["sl2"], [1.0, 0.0, 0.0], budget=budget)
+
+    def test_minimize_is_bound_on_first_use_to_scipys(self):
+        import scipy.optimize
+
+        assert getattr(geodesics, "minimize") is scipy.optimize.minimize
+        assert vars(geodesics)["minimize"] is scipy.optimize.minimize
+        with pytest.raises(AttributeError):
+            geodesics.no_such_name
+
+    def test_refinement_calls_the_module_minimize_once_per_start(self, models, monkeypatch):
+        from scipy.optimize import minimize
+
+        budgets = []
+
+        def counting(*args, **kwargs):
+            budgets.append(kwargs["options"]["maxiter"])
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(geodesics, "minimize", counting)
+        model = models["heisenberg"]
+        shoot_distance(model, expm(0.3 * model.a1), budget=5)
+        assert budgets == [5, 5, 5]
+
     def test_non_finite_endpoint_raises(self, models):
         with pytest.raises(IntegrationBlowUpError) as err:
             _shoot_endpoint(models["sl2"], 0.3, 1e200, 1.0)

@@ -355,3 +355,7 @@ class TestCertification:
             "kernel_centrality",
         }
         assert all(r.passed for r in results)
+
+    def test_negative_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples must be >= 0"):
+            iso.run_certification(samples=-2, seed=1)
