@@ -46,9 +46,19 @@ class StructureParseError(ValueError):
     pass
 
 
+class _BoundedRepr(reprlib.Repr):
+    def repr_int(self, x, level):
+        # repr() raises ValueError past sys.get_int_max_str_digits() digits,
+        # so an int too long to print whole is described by its size.
+        if x.bit_length() > 4 * self.maxlong:
+            return f"<int of {x.bit_length()} bits>"
+        return super().repr_int(x, level)
+
+
 # Echoes a bracket row in an error message at a bounded length, whatever
-# the row holds: a 4000-digit value prints as its ends around "...".
-_ROW_REPR = reprlib.Repr()
+# the row holds: an int of up to 64 bits prints as its ends around "...", a
+# longer one as its bit length.
+_ROW_REPR = _BoundedRepr()
 _ROW_REPR.maxlevel = 2
 _ROW_REPR.maxdict = _ROW_REPR.maxlist = 4
 _ROW_REPR.maxstring = _ROW_REPR.maxlong = _ROW_REPR.maxother = 16
@@ -480,7 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="shooting estimate of the distance")
     p.add_argument("--model", required=True, choices=MODEL_IDS)
     p.add_argument("--target", help="group element as a JSON array")
-    p.add_argument("--budget", type=int, default=200, help="refinement iterations")
+    p.add_argument(
+        "--budget", type=int, default=200,
+        help="Levenberg-Marquardt iterations per grid start (each costs 3 Jacobian "
+        "endpoint evaluations plus one per trial step)",
+    )
     add_common(p)
     p.set_defaults(func=cmd_distance)
 

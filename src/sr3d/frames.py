@@ -96,7 +96,9 @@ class SRStructure:
             raise ValueError("gram matrix must be positive definite")
         span = span.copy()
         span.flags.writeable = False
-        gram = 0.5 * (gram + gram.T)
+        # Halving before adding is exact on normal floats and cannot overflow.
+        g01 = 0.5 * g01 + 0.5 * g10
+        gram = np.array([[g00, g01], [g01, g11]])
         gram.flags.writeable = False
         object.__setattr__(self, "span", span)
         object.__setattr__(self, "gram", gram)

@@ -26,10 +26,12 @@ Four models are provided: the 3x3 unipotent realization of the Heisenberg
 group, the 3x3 affine realization of A+(R) x R, SL(2) as 2x2 matrices, and
 SU(2) as unit quaternions (kept in real arithmetic on purpose).
 
-Importing this module does not import scipy: ``scipy.optimize.minimize``
-(the shooting refinement's Nelder-Mead) is loaded the first time
-:func:`shoot_distance` refines a start, or ``geodesics.minimize`` is read,
-and is then bound as the module attribute ``minimize``.
+:func:`shoot_distance` refines its best grid starts by Levenberg-Marquardt
+on the endpoint residual (:func:`_levenberg_marquardt`), passed as a custom
+method to ``scipy.optimize.minimize``.  Importing this module does not
+import scipy: ``minimize`` is loaded the first time :func:`shoot_distance`
+refines a start, or ``geodesics.minimize`` is read, and is then bound as the
+module attribute ``minimize``.
 """
 
 from __future__ import annotations
@@ -452,6 +454,70 @@ def _batched_endpoints(model, alphas, h0s, t):
     return state[0]
 
 
+def _levenberg_marquardt(fun, x0, args=(), maxiter=200, **_):
+    """``scipy.optimize.minimize`` method: damped Gauss-Newton on a residual.
+
+    ``fun(x, *args)`` returns the residual vector r; x is (alpha, h0, t) and
+    ``fun`` is only ever called with t > 0 when ``x0`` has it.  Each
+    iteration builds a forward-difference Jacobian J (one call per unknown)
+    and tries steps dx solving (A + lam diag(A)) dx = -J^T r, A = J^T J.  A
+    step is rejected, and lam raised tenfold, when the damped system is
+    singular, when it exceeds the cap |dalpha|, |dh0| <= 1, |dt| <= t/2
+    (which keeps t positive), or when it does not reduce |r|; an accepted
+    step lowers lam tenfold.  Stops when |r| <= 1e-14, when no damped step
+    reduces |r| (lam above 1e8), after 5 accepted steps in a row that each
+    cut |r|^2 by under 1%, or after ``maxiter`` iterations.  ``fun`` of the
+    result is |r| at ``x``; ``nfev`` counts every call to ``fun``.
+    """
+    from scipy.optimize import OptimizeResult
+
+    x = np.array(x0, dtype=float)
+    r = np.asarray(fun(x, *args), dtype=float)
+    cost = float(r @ r)
+    nfev, nit, lam, slow = 1, 0, 1e-3, 0
+    while True:
+        if math.sqrt(cost) <= 1e-14:
+            success, message = True, "residual norm at most 1e-14"
+            break
+        if slow == 5:
+            success, message = False, "5 accepted steps in a row each cut |r|^2 by under 1%"
+            break
+        if nit == maxiter:
+            success, message = False, "maximum number of iterations reached"
+            break
+        nit += 1
+        jac = np.empty((r.size, x.size))
+        for j in range(x.size):
+            shifted = x.copy()
+            shifted[j] += math.sqrt(np.finfo(float).eps) * max(1.0, abs(x[j]))
+            jac[:, j] = (np.asarray(fun(shifted, *args), dtype=float) - r) / (shifted[j] - x[j])
+        nfev += x.size
+        a, grad = jac.T @ jac, jac.T @ r
+        cap = np.array([1.0, 1.0, 0.5 * x[2]])
+        while lam <= 1e8:
+            try:
+                step = np.linalg.solve(a + lam * np.diag(np.diag(a)), -grad)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is not None and np.all(np.abs(step) <= cap):
+                trial = x + step
+                r_trial = np.asarray(fun(trial, *args), dtype=float)
+                nfev += 1
+                cost_trial = float(r_trial @ r_trial)
+                if cost_trial < cost:
+                    slow = slow + 1 if cost_trial > 0.99 * cost else 0
+                    x, r, cost = trial, r_trial, cost_trial
+                    lam = max(lam / 10.0, 1e-12)
+                    break
+            lam *= 10.0
+        else:
+            success, message = True, "no damped step reduces the residual"
+            break
+    return OptimizeResult(
+        x=x, fun=math.sqrt(cost), nit=nit, nfev=nfev, success=success, message=message
+    )
+
+
 def shoot_distance(
     model: GroupModel,
     target: np.ndarray,
@@ -463,11 +529,13 @@ def shoot_distance(
 
     Initial covectors are arc-length normalized (h1^2 + h2^2 = 1, free h0)
     so the time of flight is the candidate length.  A coarse deterministic
-    grid over (direction angle, h0, t) is refined with Nelder-Mead simplex
-    (reflection 1, expansion 2, contraction 1/2, shrink 1/2, at most
-    ``budget`` iterations).  Returns the shortest refined hit whose endpoint
-    error is below 1e-6, else the best found with its error.  Candidates are
-    reduced in grid-index order, so the result is schedule-independent.
+    grid over (direction angle, h0, t) is evaluated, and its three best
+    points are refined by Levenberg-Marquardt on the endpoint residual
+    (:func:`_levenberg_marquardt`, at most ``budget`` iterations of 3
+    Jacobian endpoint evaluations plus one per trial step).  Returns the
+    shortest refined hit whose endpoint error is below 1e-6, else the best
+    found with its error.  Candidates are reduced in grid-index order, so
+    the result is schedule-independent.
     A budget below 1, or a target of the wrong shape, with a non-finite
     entry or whose norm overflows raises ValueError; a non-finite endpoint
     met during the search raises :class:`IntegrationBlowUpError`.
@@ -485,12 +553,9 @@ def shoot_distance(
     if float(np.max(np.abs(target - model.identity))) <= 1e-12:
         return ShootingResult(0.0, (0.0, 0.0, 0.0), 0.0, True)
 
-    def objective(params):
+    def residual(params):
         alpha, h0, t = params
-        if t <= 0.0:
-            return 10.0 + abs(t)
-        end = _shoot_endpoint(model, alpha, h0, t)
-        return float(np.linalg.norm(end - target))
+        return (_shoot_endpoint(model, alpha, h0, t) - target).ravel()
 
     alphas = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
     h0s = np.linspace(-h0_max, h0_max, 9)
@@ -516,14 +581,10 @@ def shoot_distance(
     best = None
     for err, _, _, alpha, h0, t in candidates[:3]:
         res = minimize(
-            objective,
-            x0=np.array([alpha, h0, t]),
-            method="Nelder-Mead",
-            options={
-                "maxiter": budget,
-                "xatol": 1e-10,
-                "fatol": 1e-12,
-            },
+            residual,
+            np.array([alpha, h0, t]),
+            method=_levenberg_marquardt,
+            options={"maxiter": budget},
         )
         alpha_r, h0_r, t_r = res.x
         err_r = float(res.fun)

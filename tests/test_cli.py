@@ -129,6 +129,15 @@ class TestClassifyCommand:
         assert err.startswith("error: malformed bracket entry") and err.count("\n") == 1
         assert len(err.rstrip("\n")) <= 200, err[:300]
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int_value_past_the_digit_limit_is_a_parse_error(self, sign):
+        # Only Python callers reach this: the JSON decoder refuses such ints.
+        data = {"brackets": [{"i": 0, "j": 1, "k": 2, "value": sign * 10**5000}],
+                "span": [[1, 0, 0], [0, 1, 0]]}
+        with pytest.raises(StructureParseError, match="^malformed bracket entry") as err:
+            structure_from_dict(data)
+        assert len(str(err.value)) <= 200
+
     def test_conflicting_duplicate_brackets_rejected(self, tmp_path):
         path = write(
             tmp_path, "dup.json",

@@ -63,6 +63,12 @@ class TestOrthonormalize:
                     np.array([[float("nan"), 0.0], [0.0, 1.0]]),
                 )
 
+    def test_gram_near_the_float_maximum_is_stored_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = SRStructure(HEISENBERG.algebra, np.eye(3)[:2], 1e308 * np.eye(2))
+        assert np.array_equal(s.gram, 1e308 * np.eye(2))
+
     def test_rejects_degenerate_gram(self):
         with pytest.raises(ValueError, match="positive definite"):
             SRStructure(

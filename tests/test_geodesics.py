@@ -386,6 +386,90 @@ class TestShooting:
         shoot_distance(model, expm(0.3 * model.a1), budget=5)
         assert budgets == [5, 5, 5]
 
+    def test_refinement_evaluations_and_result_contract(self, models, monkeypatch):
+        from scipy.optimize import minimize
+
+        times, starts = [], []
+        real_endpoint = _shoot_endpoint
+
+        def endpoint(model, alpha, h0, t):
+            times.append(t)
+            return real_endpoint(model, alpha, h0, t)
+
+        def checked(fun, x0, **kwargs):
+            calls = []
+
+            def counted(x, *args):
+                calls.append((x.copy(), fun(x, *args)))
+                return calls[-1][1]
+
+            res = minimize(counted, x0, **kwargs)
+            assert res.nfev == len(calls)
+            assert 1 <= res.nit <= kwargs["options"]["maxiter"]
+            r = next(r for x, r in calls if np.array_equal(x, res.x))
+            assert res.fun == pytest.approx(np.linalg.norm(r), rel=1e-12)
+            starts.append(res)
+            return res
+
+        monkeypatch.setattr(geodesics, "_shoot_endpoint", endpoint)
+        monkeypatch.setattr(geodesics, "minimize", checked)
+        rng = np.random.default_rng(8)
+        for mid in MODEL_IDS * 2:
+            model = models[mid]
+            alpha, h0 = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-1.0, 1.0)
+            length = rng.uniform(0.25, 0.35)
+            cov = start(model, math.cos(alpha), math.sin(alpha), h0)
+            target = integrate_geodesic(model, model.frame, cov, length, 400).endpoint
+            del times[:]
+            result = shoot_distance(model, target)
+            assert result.converged, (mid, result)
+            assert result.distance == pytest.approx(length, abs=1e-6)
+            assert len(times) <= 200, (mid, len(times))
+            assert min(times) > 0.0
+        assert len(starts) == 3 * 8
+
+    def test_singular_damped_system_rejects_the_step(self):
+        from scipy.optimize import minimize
+
+        # The residual ignores x[1], so J^T J + lam diag(J^T J) is singular
+        # for every lam: each trial is rejected without a residual call.
+        res = minimize(lambda x: np.array([x[0] - 1.0, x[2] - 2.0]),
+                       np.array([0.0, 0.0, 1.0]),
+                       method=geodesics._levenberg_marquardt, options={"maxiter": 50})
+        assert (res.nit, res.nfev) == (1, 4)
+        assert np.array_equal(res.x, [0.0, 0.0, 1.0]) and res.fun == math.sqrt(2.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mid, z, distance, nelder_mead_evals", [
+        ("heisenberg", 0.05, None, 664),
+        ("heisenberg", 0.1, None, 652),
+        ("heisenberg", 0.3, 1.9416259915, 821),
+        ("sl2", 0.05, None, 710),
+        ("sl2", 0.1, None, 705),
+        ("sl2", 0.3, 1.9646657598, 803),
+    ])
+    def test_near_vertical_targets(self, models, monkeypatch, mid, z, distance,
+                                   nelder_mead_evals):
+        # exp(z A0) lies on the vertical axis.  Below z = 0.3 its minimisers
+        # need |h0| beyond the search box, so the search must end unconverged
+        # without raising, at no more endpoint evaluations than the
+        # Nelder-Mead refinement this replaced.
+        model = models[mid]
+        calls = []
+
+        def endpoint(*args):
+            calls.append(args)
+            return _shoot_endpoint(*args)
+
+        monkeypatch.setattr(geodesics, "_shoot_endpoint", endpoint)
+        result = shoot_distance(model, expm(z * model.a0))
+        assert len(calls) <= nelder_mead_evals
+        if distance is None:
+            assert not result.converged
+        else:
+            assert result.converged
+            assert result.distance == pytest.approx(distance, abs=1e-6)
+
     def test_non_finite_endpoint_raises(self, models):
         with pytest.raises(IntegrationBlowUpError) as err:
             _shoot_endpoint(models["sl2"], 0.3, 1e200, 1.0)
