@@ -18,9 +18,12 @@ on floats or arrays.  One path at a time (:func:`integrate_geodesic`, the
 shooting refinement) steps a flat list of Python floats, g's entries then
 h1, h2, h0, since on these small states numpy's per-call dispatch costs
 more than the arithmetic; the shooting grid (:func:`_batched_endpoints`)
-steps [g stack, h1, h2, h0] as numpy arrays.  A control flow g' = g M is
-linear, so :func:`integrate_controls` steps g -> g R(dt M) with RK4's
-stability function R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
+steps [g stack, h1, h2, h0] as numpy arrays, all of it in one unit-time
+batch: H is quadratic in the covector, so the flow from covector lam h
+over time 1 ends where the flow from h ends over time lam, and each grid
+time is flown as a covector scale.  A control flow g' = g M is linear, so
+:func:`integrate_controls` steps g -> g R(dt M) with RK4's stability
+function R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
 
 Four models are provided: the 3x3 unipotent realization of the Heisenberg
 group, the 3x3 affine realization of A+(R) x R, SL(2) as 2x2 matrices, and
@@ -410,7 +413,9 @@ HIT_TOLERANCE = 1e-6
 
 def _shoot_steps(t: float) -> int:
     # Order-4 steps: error ~ (1/80)^4 * t stays two decades under the hit
-    # tolerance for desk-scale times.
+    # tolerance for desk-scale times.  The grid flies every time as a
+    # covector scale over unit time at _shoot_steps(1.0) steps: it only ranks
+    # starts, and the refinement flies each start at its own t.
     return max(40, int(math.ceil(80.0 * t)))
 
 
@@ -434,10 +439,16 @@ def _shoot_endpoint(model, alpha, h0, t):
     return np.array(state[:-3]).reshape(model.identity.shape)
 
 
-def _batched_endpoints(model, alphas, h0s, t):
-    """Endpoints for a whole batch of unit covectors at a common time t."""
-    g = np.tile(model.identity, (alphas.size,) + (1,) * model.identity.ndim)
-    state = [g, np.cos(alphas), np.sin(alphas), np.asarray(h0s, dtype=float)]
+def _batched_endpoints(model, alphas, h0s, t, scale=1.0):
+    """Endpoints at a common time t for a batch of covectors
+    scale * (cos alpha, sin alpha, h0), ``scale`` a scalar or one per path.
+
+    The finished state is checked once, as in :func:`_shoot_endpoint`: a
+    non-finite one raises :class:`IntegrationBlowUpError`.
+    """
+    g = np.tile(model.identity, (np.size(alphas),) + (1,) * model.identity.ndim)
+    h0s = np.asarray(h0s, dtype=float)
+    state = [g, scale * np.cos(alphas), scale * np.sin(alphas), scale * h0s]
     quaternion = model.kind == "quaternion"
 
     def rhs(x):
@@ -447,10 +458,13 @@ def _batched_endpoints(model, alphas, h0s, t):
 
     steps = _shoot_steps(t)
     dt = t / steps
-    for _ in range(steps):
-        state = _rk4_step(rhs, state, dt)
-        if quaternion:
-            state[0] = state[0] / np.linalg.norm(state[0], axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            state = _rk4_step(rhs, state, dt)
+            if quaternion:
+                state[0] = state[0] / np.linalg.norm(state[0], axis=1, keepdims=True)
+    if not all(np.all(np.isfinite(x)) for x in state):
+        raise IntegrationBlowUpError(steps, "by")
     return state[0]
 
 
@@ -529,10 +543,13 @@ def shoot_distance(
 
     Initial covectors are arc-length normalized (h1^2 + h2^2 = 1, free h0)
     so the time of flight is the candidate length.  A coarse deterministic
-    grid over (direction angle, h0, t) is evaluated, and its three best
-    points are refined by Levenberg-Marquardt on the endpoint residual
-    (:func:`_levenberg_marquardt`, at most ``budget`` iterations of 3
-    Jacobian endpoint evaluations plus one per trial step).  Returns the
+    grid over (direction angle, h0, t) is evaluated as one unit-time batch
+    by the scaling law: each t is a covector scale, since the flow from
+    t (cos alpha, sin alpha, h0) over time 1 ends where the unit covector's
+    flow ends over time t.  Its three best points are refined by
+    Levenberg-Marquardt on the endpoint residual (:func:`_levenberg_marquardt`,
+    at most ``budget`` iterations of 3 Jacobian endpoint evaluations plus
+    one per trial step), each flown at its own t.  Returns the
     shortest refined hit whose endpoint error is below 1e-6, else the best
     found with its error.  Candidates are reduced in grid-index order, so
     the result is schedule-independent.
@@ -560,19 +577,16 @@ def shoot_distance(
     alphas = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
     h0s = np.linspace(-h0_max, h0_max, 9)
     ts = np.linspace(0.15, t_max, 10)
-    grid_a, grid_h = np.meshgrid(alphas, h0s, indexing="ij")
-    grid_a, grid_h = grid_a.ravel(), grid_h.ravel()
-    candidates = []
-    for k, t in enumerate(ts):
-        ends = _batched_endpoints(model, grid_a, grid_h, float(t))
-        errs = np.linalg.norm(
-            ends.reshape(ends.shape[0], -1) - target.ravel(), axis=1
-        )
-        for idx in range(errs.size):
-            candidates.append(
-                (float(errs[idx]), int(idx), k, float(grid_a[idx]),
-                 float(grid_h[idx]), float(t))
-            )
+    # Path p = k * per_t + idx flies the covector ts[k] * (cos alpha, sin
+    # alpha, h0) over unit time; idx is its (alpha, h0) index at that t.
+    grid_t, grid_a, grid_h = (x.ravel() for x in np.meshgrid(ts, alphas, h0s, indexing="ij"))
+    ends = _batched_endpoints(model, grid_a, grid_h, 1.0, scale=grid_t)
+    errs = np.linalg.norm(ends.reshape(grid_t.size, -1) - target.ravel(), axis=1)
+    per_t = alphas.size * h0s.size
+    candidates = [
+        (float(e), p % per_t, p // per_t, float(a), float(h), float(t))
+        for p, (e, a, h, t) in enumerate(zip(errs, grid_a, grid_h, grid_t))
+    ]
     candidates.sort()  # lexicographic: error first, then grid indices
 
     # Read at call time, so that a replaced ``geodesics.minimize`` is used.

@@ -245,6 +245,29 @@ class TestPlainFloatStepAgainstNumpy:
         for k in range(5):
             single = _shoot_endpoint(model, alphas[k], h0s[k], 0.7)
             assert np.max(np.abs(ends[k] - single)) <= 1e-13
+        # Per-path scale: path k flies the covector ts[k] (cos a, sin a, h0).
+        ts = rng.uniform(0.15, 2.0, 5)
+        ends = _batched_endpoints(model, alphas, h0s, 1.0, scale=ts)
+        for k in range(5):
+            cov = ts[k] * np.array([math.cos(alphas[k]), math.sin(alphas[k]), h0s[k]])
+            single = integrate_geodesic(
+                model, model.frame, start(model, *cov), 1.0, _shoot_steps(1.0)
+            ).endpoint
+            assert np.max(np.abs(ends[k] - single)) <= 1e-12
+
+    def test_scaling_law_at_equal_steps(self, models, rng, mid):
+        # H is quadratic in the covector, so flying t h over time 1 is flying
+        # h over time t, the covector scaled by t; RK4 at an equal step count
+        # keeps this to rounding.
+        model, steps = models[mid], _shoot_steps(1.0)
+        for cov, t in zip(generic_covectors(rng, 4), rng.uniform(0.15, 2.0, 4)):
+            scaled = [t * c for c in cov]
+            unit = integrate_geodesic(model, model.frame, start(model, *scaled), 1.0, steps)
+            timed = integrate_geodesic(model, model.frame, start(model, *cov), float(t), steps)
+            assert np.max(np.abs(unit.endpoint - timed.endpoint)) <= 1e-12
+            assert np.max(np.abs(
+                np.array(unit.final_covector) - t * np.array(timed.final_covector)
+            )) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -474,6 +497,51 @@ class TestShooting:
         with pytest.raises(IntegrationBlowUpError) as err:
             _shoot_endpoint(models["sl2"], 0.3, 1e200, 1.0)
         assert err.value.step == _shoot_steps(1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_grid_raises_without_warnings(self, models):
+        model = models["sl2"]
+        with pytest.raises(IntegrationBlowUpError) as err:
+            _batched_endpoints(model, [0.3, 0.4], [1e200, 0.0], 1.0)
+        assert err.value.step == _shoot_steps(1.0)
+        with pytest.raises(IntegrationBlowUpError) as err:
+            shoot_distance(model, expm(0.3 * model.a1), h0_max=1e200)
+        assert err.value.step == _shoot_steps(1.0)
+
+    def test_grid_is_one_unit_time_batch_ranking_as_a_per_t_loop(self, models, monkeypatch):
+        from scipy.optimize import minimize
+
+        grid_calls, starts = [], []
+
+        def grid(model, alphas, h0s, t, **kwargs):
+            grid_calls.append((np.size(alphas), t))
+            return _batched_endpoints(model, alphas, h0s, t, **kwargs)
+
+        def refine(fun, x0, **kwargs):
+            starts.append(tuple(x0))
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(geodesics, "_batched_endpoints", grid)
+        monkeypatch.setattr(geodesics, "minimize", refine)
+        # One target per model, drawn as the distance benchmark draws them.
+        rng = np.random.default_rng([1, 4])
+        alphas = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
+        ga, gh = (x.ravel() for x in np.meshgrid(alphas, np.linspace(-3.0, 3.0, 9), indexing="ij"))
+        for mid in MODEL_IDS:
+            model = models[mid]
+            alpha, h0 = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-1.0, 1.0)
+            length = rng.uniform(0.25, 0.35)
+            cov = start(model, math.cos(alpha), math.sin(alpha), h0)
+            target = integrate_geodesic(model, model.frame, cov, length, 2000).endpoint
+            del grid_calls[:], starts[:]
+            assert shoot_distance(model, target).converged
+            assert grid_calls == [(1080, 1.0)]
+            per_t = []
+            for k, t in enumerate(np.linspace(0.15, 2.0, 10)):
+                ends = _batched_endpoints(model, ga, gh, float(t))
+                errs = np.linalg.norm(ends.reshape(ga.size, -1) - target.ravel(), axis=1)
+                per_t += [(errs[i], i, k, ga[i], gh[i], t) for i in range(ga.size)]
+            assert starts == [c[3:] for c in sorted(per_t)[:3]], mid
 
     def test_deterministic(self, models):
         model = models["heisenberg"]
