@@ -41,6 +41,10 @@ EXIT_JACOBI = 4
 EXIT_INTEGRATION = 5
 EXIT_CERTIFICATION = 6
 
+# Largest `geodesic --steps`: the trajectory it keeps is 8 bytes per float,
+# (4 + 9) floats a step on a 3x3 model, ~1 GB at this bound.
+MAX_STEPS = 10**7
+
 
 class StructureParseError(ValueError):
     pass
@@ -332,8 +336,8 @@ def _parse_covector(raw: str) -> tuple[float, float, float]:
 
 
 def cmd_geodesic(args) -> int:
-    if args.steps < 1:
-        raise StructureParseError(f"--steps must be >= 1, got {args.steps}")
+    if not 1 <= args.steps <= MAX_STEPS:
+        raise StructureParseError(f"--steps must be in [1, {MAX_STEPS}], got {args.steps}")
     if not math.isfinite(args.time):
         raise StructureParseError(f"--time must be finite, got {args.time}")
     model = build_model(args.model)
@@ -482,7 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=MODEL_IDS)
     p.add_argument("--covector", default="1,0,0", help="initial 'h1,h2,h0'")
     p.add_argument("--time", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument(
+        "--steps", type=int, default=1000,
+        help=f"RK4 steps, 1 to {MAX_STEPS} (the trajectory is kept in memory)",
+    )
     p.add_argument("--out", help="trajectory CSV path")
     add_common(p)
     p.set_defaults(func=cmd_geodesic)

@@ -12,16 +12,24 @@ quaternion) realization of the group.  Both are integrated jointly with
 fixed-step classical Runge-Kutta; no adaptive stepping, so the order-4
 convergence is directly testable.
 
+The coupled RK4 step is taken in three stages.  Each stage slope of
+g' = g M(h) is g times a matrix, linear in g, so the step from (g, h) ends
+at g P, where the propagator P is the same step from (identity, h): the
+split is the same RK4 map, to rounding.  A flight (:func:`integrate_geodesic`,
+:func:`_shoot_endpoint`) therefore (1) steps the autonomous covector
+subsystem alone on three Python floats, with the float operations of the
+coupled step, (2) builds every step's propagator in one call on numpy
+arrays (:func:`_array_rhs`), in blocks of ``_BLOCK`` steps, and (3)
+composes g_{n+1} = g_n P_n in step order, unit quaternions by the Hamilton
+product on Python floats, renormalized after every step.
 :func:`_rk4_step` is the package's one RK4 step; callers keep their own
-loops and checks.  :func:`vertical_rhs` alone holds the covector equations,
-on floats or arrays.  One path at a time (:func:`integrate_geodesic`, the
-shooting refinement) steps a flat list of Python floats, g's entries then
-h1, h2, h0, since on these small states numpy's per-call dispatch costs
-more than the arithmetic; the shooting grid (:func:`_batched_endpoints`)
-steps [g stack, h1, h2, h0] as numpy arrays, all of it in one unit-time
-batch: H is quadratic in the covector, so the flow from covector lam h
-over time 1 ends where the flow from h ends over time lam, and each grid
-time is flown as a covector scale.  A control flow g' = g M is linear, so
+loops and checks.  :func:`vertical_rhs` alone holds the covector
+equations, on floats or arrays.  The shooting grid
+(:func:`_batched_endpoints`) steps [g stack, h1, h2, h0] with the same
+array right-hand side, all of it in one unit-time batch: H is quadratic
+in the covector, so the flow from covector lam h over time 1 ends where
+the flow from h ends over time lam, and each grid time is flown as a
+covector scale.  A control flow g' = g M is linear, so
 :func:`integrate_controls` steps g -> g R(dt M) with RK4's stability
 function R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
 
@@ -42,7 +50,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, List, Sequence, Tuple
 
 import numpy as np
@@ -76,18 +84,19 @@ class IntegrationBlowUpError(RuntimeError):
         self.step = step
 
 
+def _hamilton(w1, x1, y1, z1, w2, x2, y2, z2):
+    """Hamilton product (w1, x1, y1, z1)(w2, x2, y2, z2), on floats or arrays."""
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
 def quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Hamilton product of quaternions stored as (w, x, y, z) on the last axis."""
-    w1, x1, y1, z1 = np.asarray(p).T
-    w2, x2, y2, z2 = np.asarray(q).T
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
-    ).T
+    return np.array(_hamilton(*np.asarray(p).T, *np.asarray(q).T)).T
 
 
 @dataclass(frozen=True)
@@ -106,26 +115,22 @@ class GroupModel:
     a2: np.ndarray
     a0: np.ndarray
     identity: np.ndarray
-    # _right_mul_terms(a1, a2), for :func:`_geodesic_rhs`.
-    _terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Read-only copies, so that ``_terms`` (from a1 and a2) cannot go stale.
+        # Read-only copies: a frozen model's generators do not change.
         for name in ("a1", "a2", "a0", "identity"):
             v = np.array(getattr(self, name), dtype=float)
             v.flags.writeable = False
             object.__setattr__(self, name, v)
-        object.__setattr__(self, "_terms", self._right_mul_terms(self.a1, self.a2))
 
-    def _right_mul_terms(self, *ms: np.ndarray) -> tuple:
-        """Nonzero terms (out, in, coef for each m) of g -> g m on g's flat entries."""
+    def _right_mul_terms(self, m: np.ndarray) -> tuple:
+        """Nonzero terms (out, in, coef) of g -> g m on g's flat entries."""
         size = self.identity.size
         unit = np.eye(size).reshape((size,) + self.identity.shape)
-        maps = [np.array([self.mul(e, m).ravel() for e in unit]).T for m in ms]
+        lm = np.array([self.mul(e, m).ravel() for e in unit]).T
         return tuple(
-            (out, col) + tuple(float(lm[out, col]) for lm in maps)
-            for out in range(size) for col in range(size)
-            if any(lm[out, col] for lm in maps)
+            (out, col, float(lm[out, col]))
+            for out in range(size) for col in range(size) if lm[out, col]
         )
 
     def mul(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -287,8 +292,8 @@ class Trajectory:
 def _rk4_step(rhs, state, dt):
     """One classical RK4 step of x' = rhs(x).
 
-    ``state`` is a flat list whose entries are floats, or numpy arrays of
-    one shape for a batch; ``rhs`` maps such a list to one of the same
+    ``state`` is a flat list whose entries are floats, or numpy arrays with
+    one leading batch axis; ``rhs`` maps such a list to one of the same
     layout.  Returns the new state without projecting or checking it.
     """
     half = 0.5 * dt
@@ -300,26 +305,60 @@ def _rk4_step(rhs, state, dt):
     return [x + sixth * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
-def _geodesic_rhs(model, frame):
-    """Coupled right-hand side on the flat float state [g entries, h1, h2, h0]."""
-    terms = model._terms
-    size = model.identity.size
+def _array_rhs(model, frame):
+    """Coupled right-hand side on [g stack, h1, h2, h0], one path per row."""
 
     def rhs(x):
-        h1, h2, h0 = x[size:]
-        dx = [0.0] * size
-        for out, col, c1, c2 in terms:
-            dx[out] += (c1 * h1 + c2 * h2) * x[col]
-        dx.extend(vertical_rhs(frame, h1, h2, h0))
-        return dx
+        gs, h1, h2, h0 = x
+        m = np.multiply.outer(h1, model.a1) + np.multiply.outer(h2, model.a2)
+        return [model.mul(gs, m), *vertical_rhs(frame, h1, h2, h0)]
 
     return rhs
 
 
-def _unit_quaternion(state):
-    """Norm of the quaternion in ``state[:4]``, and the state with it unit."""
-    norm = math.sqrt(sum(x * x for x in state[:4]))
-    return norm, [x / norm for x in state[:4]] + state[4:]
+# Steps per propagator batch: bounds the batch's temporaries, and how far a
+# flight runs on past a non-finite step before it is checked.
+_BLOCK = 2048
+
+
+def _split_flight(model, frame, hs, gs, dt):
+    """Fill rows 1..n of covectors ``hs`` (n+1, 3) and elements ``gs``
+    (n+1, ...) by n RK4 steps of the coupled system from their row 0.
+
+    The three stages of the module docstring; quaternions are renormalized
+    after every step.  Returns the largest pre-projection defect of those
+    steps (0.0 for matrices).  Non-finite values are carried, not checked.
+    """
+    steps = len(hs) - 1
+
+    def vertical(x):
+        return vertical_rhs(frame, *x)
+
+    h = hs[0].tolist()
+    flat = array("d")
+    for _ in range(steps):
+        h = _rk4_step(vertical, h, dt)
+        flat.extend(h)
+    hs[1:] = np.frombuffer(flat).reshape(steps, 3)
+    eye = np.broadcast_to(model.identity, (steps,) + model.identity.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        props = _rk4_step(_array_rhs(model, frame), [eye, *hs[:-1].T], dt)[0]
+        if model.kind != "quaternion":
+            for g, p, out in zip(gs[:-1], props, gs[1:]):
+                np.dot(g, p, out=out)
+            return 0.0
+    # One quaternion a step on Python floats: numpy's per-call dispatch
+    # would cost more than the product.
+    (w, x, y, z), defect = gs[0].tolist(), 0.0
+    flat = array("d")
+    for pw, px, py, pz in props.tolist():
+        w, x, y, z = _hamilton(w, x, y, z, pw, px, py, pz)
+        norm = math.hypot(w, x, y, z)
+        w, x, y, z = w / norm, x / norm, y / norm, z / norm
+        flat.extend((w, x, y, z))
+        defect = max(defect, abs(norm - 1.0))
+    gs[1:] = np.frombuffer(flat).reshape(steps, 4)
+    return defect
 
 
 def integrate_geodesic(
@@ -331,33 +370,34 @@ def integrate_geodesic(
 ) -> Trajectory:
     """Fixed-step RK4 on the coupled horizontal + vertical system.
 
-    Quaternion states are renormalized after every step; the pre-projection
-    defect is what :attr:`Trajectory.max_group_defect` reports.  Matrix
-    states are never projected.
+    Flown in blocks of ``_BLOCK`` steps by :func:`_split_flight`: the same
+    RK4 map as stepping the coupled state, since each stage slope is linear
+    in g.  Each block is checked once it is flown, and the first non-finite
+    step raises :class:`IntegrationBlowUpError`.  Quaternion states are
+    renormalized after every step; the pre-projection defect is what
+    :attr:`Trajectory.max_group_defect` reports.  Matrix states are never
+    projected.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     dt = float(t_final) / steps
     g0 = np.array(initial.g, dtype=float)
-    state = g0.ravel().tolist() + [float(initial.h1), float(initial.h2), float(initial.h0)]
-    flat = array("d", state)
+    covectors = np.empty((steps + 1, 3))
+    elements = np.empty((steps + 1,) + g0.shape)
+    covectors[0] = initial.h1, initial.h2, initial.h0
+    elements[0] = g0
     max_defect = model.group_defect(g0)
-    quaternion = model.kind == "quaternion"
-    rhs = _geodesic_rhs(model, frame)
-    for n in range(steps):
-        state = _rk4_step(rhs, state, dt)
-        if not all(map(math.isfinite, state)):
-            raise IntegrationBlowUpError(n + 1)
-        if quaternion:
-            norm, state = _unit_quaternion(state)
-            max_defect = max(max_defect, abs(norm - 1.0))
-        flat.extend(state)
-    states = np.frombuffer(flat).reshape(steps + 1, -1)
-    elements = states[:, :-3].reshape((steps + 1,) + g0.shape)
-    if not quaternion:
+    for n0 in range(0, steps, _BLOCK):
+        hs, gs = covectors[n0 : n0 + _BLOCK + 1], elements[n0 : n0 + _BLOCK + 1]
+        max_defect = max(max_defect, _split_flight(model, frame, hs, gs, dt))
+        finite = np.isfinite(hs[1:]).all(axis=1)
+        finite &= np.isfinite(gs[1:].reshape(len(finite), -1)).all(axis=1)
+        if not finite.all():
+            raise IntegrationBlowUpError(n0 + 1 + int(np.argmin(finite)))
+    if model.kind != "quaternion":
         max_defect = model.group_defect(elements)
     times = np.linspace(0.0, t_final, steps + 1)
-    return Trajectory(model.id, times, states[:, -3:], elements, max_defect)
+    return Trajectory(model.id, times, covectors, elements, max_defect)
 
 
 def integrate_controls(
@@ -392,7 +432,8 @@ def integrate_controls(
             if not all(map(math.isfinite, g)):
                 raise IntegrationBlowUpError(segment * seg_steps + n + 1)
             if quaternion:
-                g = _unit_quaternion(g)[1]
+                norm = math.sqrt(sum(x * x for x in g))
+                g = [x / norm for x in g]
     return np.array(g).reshape(model.identity.shape)
 
 
@@ -420,23 +461,21 @@ def _shoot_steps(t: float) -> int:
 
 
 def _shoot_endpoint(model, alpha, h0, t):
-    """Endpoint only; no trajectory storage, for use inside optimizers.
+    """Endpoint only, for use inside optimizers: one :func:`_split_flight`
+    of ``_shoot_steps(t)`` steps, fewer than ``_BLOCK``.
 
     The finished state is checked once: a non-finite one raises
     :class:`IntegrationBlowUpError` (NaN and inf never turn finite again).
     """
-    state = model.identity.ravel().tolist() + [math.cos(alpha), math.sin(alpha), float(h0)]
     steps = _shoot_steps(t)
-    dt = float(t) / steps
-    quaternion = model.kind == "quaternion"
-    rhs = _geodesic_rhs(model, model.frame)
-    for _ in range(steps):
-        state = _rk4_step(rhs, state, dt)
-        if quaternion:
-            state = _unit_quaternion(state)[1]
-    if not all(map(math.isfinite, state)):
+    hs = np.empty((steps + 1, 3))
+    gs = np.empty((steps + 1,) + model.identity.shape)
+    hs[0] = math.cos(alpha), math.sin(alpha), float(h0)
+    gs[0] = model.identity
+    _split_flight(model, model.frame, hs, gs, float(t) / steps)
+    if not (np.all(np.isfinite(hs[-1])) and np.all(np.isfinite(gs[-1]))):
         raise IntegrationBlowUpError(steps, "by")
-    return np.array(state[:-3]).reshape(model.identity.shape)
+    return gs[-1]
 
 
 def _batched_endpoints(model, alphas, h0s, t, scale=1.0):
@@ -450,12 +489,7 @@ def _batched_endpoints(model, alphas, h0s, t, scale=1.0):
     h0s = np.asarray(h0s, dtype=float)
     state = [g, scale * np.cos(alphas), scale * np.sin(alphas), scale * h0s]
     quaternion = model.kind == "quaternion"
-
-    def rhs(x):
-        gs, h1, h2, h0 = x
-        m = np.multiply.outer(h1, model.a1) + np.multiply.outer(h2, model.a2)
-        return [model.mul(gs, m), *vertical_rhs(model.frame, h1, h2, h0)]
-
+    rhs = _array_rhs(model, model.frame)
     steps = _shoot_steps(t)
     dt = t / steps
     with np.errstate(over="ignore", invalid="ignore"):

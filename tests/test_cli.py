@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sr3d import cli
 from sr3d.classify import catalog, classify
 from sr3d.cli import (
     EXIT_CERTIFICATION,
@@ -17,6 +18,7 @@ from sr3d.cli import (
     EXIT_NOT_CONTACT,
     EXIT_OK,
     EXIT_PARSE,
+    MAX_STEPS,
     StructureParseError,
     main,
     structure_from_dict,
@@ -246,6 +248,21 @@ class TestGeodesicCommand:
         assert main(["geodesic", "--model", "sl2", flag, value]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_steps_above_the_limit_fail_before_the_flight(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the geodesic command went past its --steps check")
+
+        monkeypatch.setattr(cli, "build_model", unreachable)
+        monkeypatch.setattr(cli, "integrate_geodesic", unreachable)
+        assert MAX_STEPS == 10**7
+        code = main(["geodesic", "--model", "sl2", "--steps", str(MAX_STEPS + 1)])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        with pytest.raises(SystemExit):
+            main(["geodesic", "--help"])
+        assert str(MAX_STEPS) in capsys.readouterr().out
 
     @pytest.mark.parametrize("covector", ["nan,0,0", "1,inf,0", "0,0,-inf"])
     def test_non_finite_covector_is_parse_error(self, capsys, covector):

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from sr3d.geodesics import (
     trajectory_to_csv,
     vertical_rhs,
 )
-from sr3d.geodesics import _batched_endpoints, _shoot_endpoint, _shoot_steps
+from sr3d.geodesics import (
+    _BLOCK,
+    _batched_endpoints,
+    _rk4_step,
+    _shoot_endpoint,
+    _shoot_steps,
+)
 from sr3d.isometry import matrix_to_apoint, psi_of_apoint
 
 
@@ -268,6 +275,71 @@ class TestPlainFloatStepAgainstNumpy:
             assert np.max(np.abs(
                 np.array(unit.final_covector) - t * np.array(timed.final_covector)
             )) <= 1e-12
+
+    def test_workload_size_flight(self, models, rng, mid):
+        # The benchmark's trajectory op, T = 5 in 5000 steps, crosses block
+        # ends.  The covectors are a plain RK4 flight of the vertical
+        # subsystem to the bit; the elements agree with coupled RK4 to rounding.
+        model, t_final, steps = models[mid], 5.0, 5000
+        (cov,) = generic_covectors(rng, 1)
+        traj = integrate_geodesic(model, model.frame, start(model, *cov), t_final, steps)
+        h, plain = list(cov), [list(cov)]
+        for _ in range(steps):
+            h = _rk4_step(lambda x: vertical_rhs(model.frame, *x), h, t_final / steps)
+            plain.append(h)
+        assert np.array_equal(traj.covectors, np.array(plain))
+        _, elements, _ = numpy_rk4(model, model.frame, cov, t_final, steps)
+        scale = max(1.0, float(np.max(np.abs(elements))))
+        assert np.max(np.abs(traj.elements - elements)) <= 1e-12 * scale
+        assert traj.hamiltonian_drift() <= 1e-9
+        assert traj.max_group_defect <= 1e-8
+
+
+def test_integration_uses_the_frame_argument(models, rng):
+    # a_plus_r is the model whose frame constants a rotation changes, so
+    # propagators built from model.frame would leave the reference.
+    model = models["a_plus_r"]
+    frame = rotate_frame(model.frame, 0.7)
+    assert frame.constants != model.frame.constants
+    for cov in generic_covectors(rng, 2):
+        traj = integrate_geodesic(model, frame, start(model, *cov), 2.0, 400)
+        covectors, elements, _ = numpy_rk4(model, frame, cov, 2.0, 400)
+        assert np.max(np.abs(traj.covectors - covectors)) <= 1e-13
+        assert np.max(np.abs(traj.elements - elements)) <= 1e-13
+
+
+def test_blow_up_stops_within_one_block(models, monkeypatch):
+    # dt = 1e5 goes non-finite at step 3 of 10**6: the flight stops after
+    # the block holding that step, four covector slopes a step.
+    model, cov, t_final, steps = models["sl2"], (0.8, 0.6, 0.7), 1e11, 10**6
+    with pytest.raises(IntegrationBlowUpError) as want:
+        numpy_rk4(model, model.frame, cov, t_final, steps)
+    scalar_calls = 0
+
+    def counting(frame, h1, h2, h0):
+        nonlocal scalar_calls
+        scalar_calls += isinstance(h1, float)
+        return vertical_rhs(frame, h1, h2, h0)
+
+    monkeypatch.setattr(geodesics, "vertical_rhs", counting)
+    with pytest.raises(IntegrationBlowUpError) as got:
+        integrate_geodesic(model, model.frame, start(model, *cov), t_final, steps)
+    assert got.value.step == want.value.step
+    assert scalar_calls <= 4 * (got.value.step + _BLOCK)
+
+
+@pytest.mark.parametrize("mid", ["a_plus_r", "su2"])
+def test_flight_memory_is_the_result_plus_a_block(models, mid):
+    # 40 000 steps, not more, since tracemalloc slows the flight ~10x; an
+    # unblocked flight already peaks at ~7x the result here.
+    model = models[mid]
+    tracemalloc.start()
+    try:
+        traj = integrate_geodesic(model, model.frame, start(model, 0.8, 0.6, 0.7), 5.0, 40000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (traj.covectors.nbytes + traj.elements.nbytes) + 8 * 10**6
 
 
 @pytest.mark.parametrize(
