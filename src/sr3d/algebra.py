@@ -58,7 +58,6 @@ class LieAlgebra3:
     """
 
     c: np.ndarray
-    basis_labels: Tuple[str, str, str] = ("e1", "e2", "e3")
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -71,13 +70,10 @@ class LieAlgebra3:
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
 
     @classmethod
     def from_brackets(
-        cls,
-        brackets: Mapping[Tuple[int, int], Iterable[float]],
-        basis_labels: Tuple[str, str, str] = ("e1", "e2", "e3"),
+        cls, brackets: Mapping[Tuple[int, int], Iterable[float]]
     ) -> "LieAlgebra3":
         """Build the tensor from the nonzero brackets ``{(i, j): [e_i, e_j]}``.
 
@@ -96,7 +92,7 @@ class LieAlgebra3:
                 raise ValueError(f"conflicting values for bracket {key}")
             seen[key] = signed
             c[key] = signed
-        return cls(c - np.swapaxes(c, 0, 1), basis_labels)
+        return cls(c - np.swapaxes(c, 0, 1))
 
     @property
     def scale(self) -> float:
@@ -173,7 +169,7 @@ def change_basis(algebra: LieAlgebra3, b: np.ndarray) -> LieAlgebra3:
     c_new = np.einsum("ki,lj,klm,nm->ijn", b, b, algebra.c, b_inv)
     # Exact antisymmetry can be lost to rounding; restore it explicitly.
     c_new = 0.5 * (c_new - np.swapaxes(c_new, 0, 1))
-    return LieAlgebra3(c_new, algebra.basis_labels)
+    return LieAlgebra3(c_new)
 
 
 def derived_subalgebra(algebra: LieAlgebra3) -> np.ndarray:

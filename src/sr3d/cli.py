@@ -332,6 +332,8 @@ def _parse_covector(raw: str) -> tuple[float, float, float]:
         raise StructureParseError(f"bad covector {raw!r}") from exc
     if not all(map(math.isfinite, (h1, h2, h0))):
         raise StructureParseError(f"--covector must be finite, got {raw!r}")
+    if not math.isfinite(h1 * h1 + h2 * h2):
+        raise StructureParseError(f"--covector h1^2 + h2^2 overflows a float, got {raw!r}")
     return h1, h2, h0
 
 
@@ -518,6 +520,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code of each error a subcommand reports; the first matching type wins.
+_EXIT_CODES = {
+    StructureParseError: EXIT_PARSE,
+    NotBracketGeneratingError: EXIT_NOT_CONTACT,
+    JacobiFailure: EXIT_JACOBI,
+    IntegrationBlowUpError: EXIT_INTEGRATION,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         rel_tol()  # a bad SR3D_TOL fails every subcommand alike, help included
@@ -528,18 +539,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StructureParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotBracketGeneratingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONTACT
-    except JacobiFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_JACOBI
-    except IntegrationBlowUpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -376,7 +376,8 @@ def integrate_geodesic(
     step raises :class:`IntegrationBlowUpError`.  Quaternion states are
     renormalized after every step; the pre-projection defect is what
     :attr:`Trajectory.max_group_defect` reports.  Matrix states are never
-    projected.
+    projected; their defect is taken block by block, so it allocates no
+    temporary the size of the trajectory.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -389,13 +390,14 @@ def integrate_geodesic(
     max_defect = model.group_defect(g0)
     for n0 in range(0, steps, _BLOCK):
         hs, gs = covectors[n0 : n0 + _BLOCK + 1], elements[n0 : n0 + _BLOCK + 1]
-        max_defect = max(max_defect, _split_flight(model, frame, hs, gs, dt))
+        defect = _split_flight(model, frame, hs, gs, dt)
         finite = np.isfinite(hs[1:]).all(axis=1)
         finite &= np.isfinite(gs[1:].reshape(len(finite), -1)).all(axis=1)
         if not finite.all():
             raise IntegrationBlowUpError(n0 + 1 + int(np.argmin(finite)))
-    if model.kind != "quaternion":
-        max_defect = model.group_defect(elements)
+        if model.kind != "quaternion":
+            defect = model.group_defect(gs[1:])
+        max_defect = max(max_defect, defect)
     times = np.linspace(0.0, t_final, steps + 1)
     return Trajectory(model.id, times, covectors, elements, max_defect)
 
@@ -450,6 +452,8 @@ class ShootingResult:
 
 
 HIT_TOLERANCE = 1e-6
+# The shooting grid's flight times, i.e. candidate lengths, span [0.15, 2].
+_GRID_T_MAX = 2.0
 
 
 def _shoot_steps(t: float) -> int:
@@ -570,7 +574,6 @@ def shoot_distance(
     model: GroupModel,
     target: np.ndarray,
     budget: int = 200,
-    t_max: float = 2.0,
     h0_max: float = 3.0,
 ) -> ShootingResult:
     """Estimate the path-length distance from the identity to ``target``.
@@ -610,7 +613,7 @@ def shoot_distance(
 
     alphas = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
     h0s = np.linspace(-h0_max, h0_max, 9)
-    ts = np.linspace(0.15, t_max, 10)
+    ts = np.linspace(0.15, _GRID_T_MAX, 10)
     # Path p = k * per_t + idx flies the covector ts[k] * (cos alpha, sin
     # alpha, h0) over unit time; idx is its (alpha, h0) index at that t.
     grid_t, grid_a, grid_h = (x.ravel() for x in np.meshgrid(ts, alphas, h0s, indexing="ij"))

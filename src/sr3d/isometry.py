@@ -20,8 +20,11 @@ in half-plane polar coordinates (x = rho sin theta, y = -rho cos theta,
 phi = z / 2).  Everything here is a verbatim transcription of those closed
 forms plus the redundancy checks that certify them numerically: endpoint-map
 consistency, control-flow (Nagano) intertwining with a step-doubling
-estimate of its RK4 error, pushforward of the frame, and the kernel /
-centrality facts that make Psi well defined on the quotient by z -> z + 4 pi.
+estimate of its RK4 error, pushforward of the frame, the kernel /
+centrality facts that make Psi well defined on the quotient by z -> z + 4 pi,
+and the closed-form inverse (phi = atan2(m12, m11), theta - phi =
+atan2(m21, m22), rho = cos theta (m21^2 + m22^2)), whose round trip on a
+grid of the fundamental domain certifies that Psi is injective there.
 """
 
 from __future__ import annotations
@@ -183,20 +186,50 @@ def psi_entries(rho, theta, phi, signs=(1.0, 1.0, 1.0, 1.0), arg_sign=1.0):
     )
 
 
+PsiFn = Callable[..., Tuple[float, float, float, float]]
+
+
+def _psi_matrix(psi: PsiFn, rho: float, theta: float, phi: float) -> np.ndarray:
+    """The 2x2 matrix of the entries ``psi`` gives at (rho, theta, phi)."""
+    return np.array(psi(rho, theta, phi)).reshape(2, 2)
+
+
 def map_Psi(pp: PolarPoint) -> np.ndarray:
     """The global isometry, with ``phi_or_z`` read as the angle phi."""
-    m11, m12, m21, m22 = psi_entries(pp.rho, pp.theta, pp.phi_or_z)
-    return np.array([[m11, m12], [m21, m22]])
-
-
-PsiFn = Callable[..., Tuple[float, float, float, float]]
+    return _psi_matrix(psi_entries, pp.rho, pp.theta, pp.phi_or_z)
 
 
 def psi_of_apoint(p: APoint, psi: PsiFn = psi_entries) -> np.ndarray:
     """Psi evaluated on a chart point, converting z to phi = z / 2."""
     pp = to_polar(p)
-    m11, m12, m21, m22 = psi(pp.rho, pp.theta, 0.5 * pp.phi_or_z)
-    return np.array([[m11, m12], [m21, m22]])
+    return _psi_matrix(psi, pp.rho, pp.theta, 0.5 * pp.phi_or_z)
+
+
+def psi_inverse(m11, m12, m21, m22):
+    """Closed-form inverse of Psi: (rho, theta, phi) from the four entries.
+
+    With p = (rho cos theta)^(-1/2) the rows are p (cos phi, sin phi) and
+    p rho (sin(theta - phi), cos(theta - phi)), so det = p^2 rho cos theta = 1
+    gives rho = cos theta |row 2|^2; theta is wrapped into (-pi, pi].
+    Broadcasts like :func:`psi_entries`.
+    """
+    phi = np.arctan2(m12, m11)
+    theta = phi + np.arctan2(m21, m22)
+    theta = theta - TWO_PI * np.ceil((theta - math.pi) / TWO_PI)
+    return np.cos(theta) * (m21 * m21 + m22 * m22), theta, phi
+
+
+def psi_round_trip_gap(grid: int = 50) -> float:
+    """Max |Psi^-1(Psi(x)) - x| over a grid^3 grid of the fundamental domain.
+
+    A map with a left inverse is injective, so a gap at rounding level
+    certifies injectivity at every grid point.
+    """
+    axes = (np.linspace(0.25, 3.0, grid), np.linspace(-1.45, 1.45, grid),
+            np.linspace(-math.pi + TWO_PI / grid, math.pi, grid))
+    x = np.meshgrid(*axes, indexing="ij")
+    back = psi_inverse(*psi_entries(*x))
+    return float(max(np.max(np.abs(b - a)) for a, b in zip(x, back)))
 
 
 def psi_consistency(
@@ -321,21 +354,18 @@ def kernel_point(k: int) -> APoint:
 def quotient_check(k_range: Sequence[int], rng: Optional[np.random.Generator] = None,
                    psi: PsiFn = psi_entries) -> bool:
     """Kernel points map to the identity and are central in the group."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0) if rng is None else rng
     for k in k_range:
-        img = psi_of_apoint(kernel_point(k), psi)
-        if float(np.max(np.abs(img - np.eye(2)))) > 1e-12:
-            return False
         center = kernel_point(k)
+        if float(np.max(np.abs(psi_of_apoint(center, psi) - np.eye(2)))) > 1e-12:
+            return False
         for _ in range(100):
             q = APoint(
                 float(rng.uniform(-3, 3)),
                 float(rng.uniform(-3, -0.1)),
                 float(rng.uniform(-3, 3)),
             )
-            left, right = a_mul(center, q), a_mul(q, center)
-            if (left.x, left.y, left.z) != (right.x, right.y, right.z):
+            if a_mul(center, q) != a_mul(q, center):
                 return False
     return True
 
@@ -412,13 +442,11 @@ def run_certification(
 
     # Exact fixed points.
     half = math.sqrt(0.5)
-    identity_gap = float(np.max(np.abs(
-        np.array(_psi_matrix(psi, 1.0, 0.0, 0.0)) - np.eye(2)
-    )))
+    identity_gap = float(np.max(np.abs(_psi_matrix(psi, 1.0, 0.0, 0.0) - np.eye(2))))
     results.append(_result("psi_identity_fixed_point", 1, identity_gap, 1e-12))
 
-    prod = np.array(_psi_matrix(psi, half, 0.25 * math.pi, math.pi)) @ np.array(
-        _psi_matrix(psi, half, -0.25 * math.pi, -math.pi)
+    prod = _psi_matrix(psi, half, 0.25 * math.pi, math.pi) @ _psi_matrix(
+        psi, half, -0.25 * math.pi, -math.pi
     )
     prod_gap = float(np.max(np.abs(prod - NON_HOMOMORPHISM_PRODUCT)))
     results.append(_result("psi_nonhomomorphism_product", 1, prod_gap, 1e-12))
@@ -432,7 +460,7 @@ def run_certification(
             kernel_gap,
             abs(p.x - expect.x), abs(p.y - expect.y), abs(p.z - expect.z),
         )
-    results.append(_result("kernel_points", len(list(ks)), kernel_gap, 1e-12))
+    results.append(_result("kernel_points", len(ks), kernel_gap, 1e-12))
     results.append(_result(
         "kernel_centrality", 5,
         0.0 if quotient_check(range(-2, 3), rng, psi) else 1.0, 0.0,
@@ -480,7 +508,7 @@ def run_certification(
             round_gap, abs(back[0] - t1), abs(back[1] - t2), abs(back[2] - t0)
         )
         pp = to_polar(_random_apoint(rng))
-        m = np.array(_psi_matrix(psi, pp.rho, pp.theta, 0.5 * pp.phi_or_z))
+        m = _psi_matrix(psi, pp.rho, pp.theta, 0.5 * pp.phi_or_z)
         det_gap = max(det_gap, abs(float(np.linalg.det(m)) - 1.0))
     results.append(_result("psi_consistency", n_psi, cons_gap, 1e-10))
     results.append(_result("endpoint_map_roundtrip", n_psi, round_gap, 1e-10))
@@ -521,62 +549,9 @@ def run_certification(
     return results
 
 
-def _psi_matrix(psi: PsiFn, rho: float, theta: float, phi: float):
-    m11, m12, m21, m22 = psi(rho, theta, phi)
-    return ((m11, m12), (m21, m22))
-
-
 def _random_apoint(rng: np.random.Generator) -> APoint:
     return APoint(
         float(rng.uniform(-2.0, 2.0)),
         float(rng.uniform(-2.5, -0.4)),
         float(rng.uniform(-2.5, 2.5)),
     )
-
-
-def injectivity_collisions(grid: int = 50, psi: PsiFn = psi_entries) -> int:
-    """Collision search for Psi over a grid of the fundamental domain.
-
-    Returns the number of grid pairs whose images are within 1e-8 in max
-    norm while the preimages are farther than 1e-8 apart.  Candidate pairs
-    are generated with 16 half-cell-shifted quantizations, which cannot miss
-    an image collision at this tolerance.
-    """
-    rho = np.linspace(0.25, 3.0, grid)
-    theta = np.linspace(-1.45, 1.45, grid)
-    phi = np.linspace(-math.pi + TWO_PI / grid, math.pi, grid)
-    r, t, f = np.meshgrid(rho, theta, phi, indexing="ij")
-    r, t, f = r.ravel(), t.ravel(), f.ravel()
-    m11, m12, m21, m22 = psi(r, t, f)
-    images = np.column_stack([m11, m12, m21, m22])
-    pre = np.column_stack([r, t, f])
-
-    cell = 1e-7
-    collisions = set()
-    scaled = images / cell
-    for mask in range(16):
-        shift = np.array([0.5 if mask & (1 << d) else 0.0 for d in range(4)])
-        keys = np.floor(scaled + shift).astype(np.int64)
-        order = np.lexsort(keys.T)
-        sorted_keys = keys[order]
-        same = np.all(sorted_keys[1:] == sorted_keys[:-1], axis=1)
-        # Equal keys are contiguous after the sort; walk each run and test
-        # every pair inside it (runs are tiny for a well-spread grid).
-        boundaries = np.nonzero(~same)[0]
-        starts = np.concatenate([[0], boundaries + 1])
-        stops = np.concatenate([boundaries + 1, [len(order)]])
-        for lo, hi in zip(starts, stops):
-            if hi - lo < 2:
-                continue
-            group = order[lo:hi]
-            for a in range(len(group)):
-                for b in range(a + 1, len(group)):
-                    i, j = int(group[a]), int(group[b])
-                    pair = (min(i, j), max(i, j))
-                    if pair in collisions:
-                        continue
-                    if np.max(np.abs(images[i] - images[j])) <= 1e-8 and np.max(
-                        np.abs(pre[i] - pre[j])
-                    ) > 1e-8:
-                        collisions.add(pair)
-    return len(collisions)

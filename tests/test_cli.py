@@ -270,6 +270,17 @@ class TestGeodesicCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("covector", ["1e155,0,0", "0,-1e155,0", "1e154,1e154,0"])
+    def test_overflowing_covector_norm_is_parse_error(self, capsys, covector):
+        # Each entry is finite, but H = (h1^2 + h2^2) / 2 is not, so the
+        # flight would report a NaN drift that JSON cannot carry.
+        code = main(["geodesic", "--model", "heisenberg", "--covector", covector,
+                     "--time", "1e-160", "--steps", "10", "--json"])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
     def test_zero_covector_constant_trajectory(self, capsys):
         code = main(
             ["geodesic", "--model", "sl2", "--covector", "0,0,0", "--json"]

@@ -342,6 +342,22 @@ def test_flight_memory_is_the_result_plus_a_block(models, mid):
     assert peak <= 2 * (traj.covectors.nbytes + traj.elements.nbytes) + 8 * 10**6
 
 
+def test_group_defect_adds_no_trajectory_sized_temporary(models):
+    # The peak over the returned arrays is one block's working set (~1 MB
+    # here), whatever the step count; a defect taken over the whole
+    # trajectory at the end adds ~0.9x the elements on top.
+    model = models["a_plus_r"]
+    tracemalloc.start()
+    try:
+        traj = integrate_geodesic(model, model.frame, start(model, 0.8, 0.6, 0.7), 5.0, 40000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = traj.times.nbytes + traj.covectors.nbytes + traj.elements.nbytes
+    assert peak <= result + 2 * 10**6
+    assert traj.max_group_defect == model.group_defect(traj.elements)
+
+
 @pytest.mark.parametrize(
     "mid,cov,t_final,steps",
     [("a_plus_r", (1.0, 0.0, 0.0), 2000.0, 100),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sr3d import isometry as iso
+from sr3d.cli import PSI_MUTANTS
 
 PI = math.pi
 
@@ -153,7 +154,32 @@ class TestPsi:
             assert abs(np.linalg.det(iso.map_Psi(pp)) - 1.0) <= 1e-12
 
     def test_injective_on_fundamental_domain(self):
-        assert iso.injectivity_collisions(grid=50) == 0
+        # Psi has a left inverse on the 50^3 grid, so no two grid points
+        # share an image.
+        assert iso.psi_round_trip_gap(50) <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(PSI_MUTANTS))
+    def test_round_trip_catches_every_mutant(self, monkeypatch, name):
+        exact = iso.psi_entries
+
+        def mutant(rho, theta, phi):
+            return exact(rho, theta, phi, **PSI_MUTANTS[name])
+
+        monkeypatch.setattr(iso, "psi_entries", mutant)
+        assert iso.psi_round_trip_gap(50) >= 1.0
+
+    def test_onto_sl2(self, rng):
+        # Every sampled SL(2) matrix has a preimage in the domain, and Psi
+        # maps it back; t0 spans a full turn so phi covers (-pi, pi].
+        for _ in range(2000):
+            m = iso.map_G(
+                float(rng.uniform(-1.5, 1.5)),
+                float(rng.uniform(-3.0, 3.0)),
+                float(rng.uniform(-PI, PI)),
+            )
+            rho, theta, phi = (float(v) for v in iso.psi_inverse(*m.ravel()))
+            back = iso.map_Psi(iso.PolarPoint(rho, theta, phi))
+            assert np.max(np.abs(back - m)) <= 1e-12 * np.max(np.abs(m))
 
 
 class TestConsistency:
