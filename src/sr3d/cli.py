@@ -157,6 +157,16 @@ def load_structure_file(path: str) -> tuple[str, SRStructure]:
     return structure_from_dict(data)
 
 
+def _write_file(path: str, write) -> None:
+    """Call ``write(stream)`` on ``path`` opened for text; an OSError is
+    reported as a parse error, as :func:`load_structure_file` reports reads."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise StructureParseError(f"cannot write {path}: {exc}") from exc
+
+
 # --- report rendering ---------------------------------------------------------
 
 def render_json(value: Any) -> str:
@@ -315,8 +325,7 @@ def cmd_figure1(args) -> int:
         rows.append(f"{name},{format(kappa, '.12g')},{format(chi, '.12g')}")
     text = "\n".join(rows) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(args.out, lambda fh: fh.write(text))
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -347,8 +356,7 @@ def cmd_geodesic(args) -> int:
     initial = GeodesicState(model.identity, h1, h2, h0)
     traj = integrate_geodesic(model, model.frame, initial, args.time, args.steps)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            trajectory_to_csv(traj, fh)
+        _write_file(args.out, lambda fh: trajectory_to_csv(traj, fh))
     Report(
         {
             "model": model.id,
@@ -405,6 +413,8 @@ PSI_MUTANTS = {
 def cmd_certify_isometry(args) -> int:
     if args.samples < 0:
         raise StructureParseError(f"--samples must be >= 0, got {args.samples}")
+    if args.seed < 0:
+        raise StructureParseError(f"--seed must be >= 0, got {args.seed}")
     psi = isometry.psi_entries
     if args.mutate:
         if args.mutate not in PSI_MUTANTS:

@@ -29,9 +29,10 @@ equations, on floats or arrays.  The shooting grid
 array right-hand side, all of it in one unit-time batch: H is quadratic
 in the covector, so the flow from covector lam h over time 1 ends where
 the flow from h ends over time lam, and each grid time is flown as a
-covector scale.  A control flow g' = g M is linear, so
-:func:`integrate_controls` steps g -> g R(dt M) with RK4's stability
-function R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
+covector scale.  A control flow g' = g M is linear, so n RK4 steps of a
+constant control are g -> g R(dt M)^n with RK4's stability function
+R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and :func:`integrate_controls`
+takes each segment's power by repeated squaring.
 
 Four models are provided: the 3x3 unipotent realization of the Heisenberg
 group, the 3x3 affine realization of A+(R) x R, SL(2) as 2x2 matrices, and
@@ -76,7 +77,7 @@ class IntegrationBlowUpError(RuntimeError):
     """A fixed-step flow reached a non-finite state.
 
     ``step`` is the first non-finite step, or with ``when="by"`` the last
-    step of a flow that checks its state only once it has finished.
+    step of a flow or segment whose state is checked only once it ends.
     """
 
     def __init__(self, step: int, when: str = "at"):
@@ -122,16 +123,6 @@ class GroupModel:
             v = np.array(getattr(self, name), dtype=float)
             v.flags.writeable = False
             object.__setattr__(self, name, v)
-
-    def _right_mul_terms(self, m: np.ndarray) -> tuple:
-        """Nonzero terms (out, in, coef) of g -> g m on g's flat entries."""
-        size = self.identity.size
-        unit = np.eye(size).reshape((size,) + self.identity.shape)
-        lm = np.array([self.mul(e, m).ravel() for e in unit]).T
-        return tuple(
-            (out, col, float(lm[out, col]))
-            for out in range(size) for col in range(size) if lm[out, col]
-        )
 
     def mul(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         if self.kind == "quaternion":
@@ -411,32 +402,37 @@ def integrate_controls(
     """Endpoint of g' = g (u1 A1 + u2 A2 + u0 A0) for piecewise-constant u.
 
     Each control triple acts for an equal share of ``t_final``; ``steps`` is
-    the total RK4 step count, split evenly across segments.
+    the total RK4 step count, split evenly across segments.  A segment's n
+    steps are one power R(dt M)^n, taken by repeated squaring on offsets from
+    1, (1 + a)(1 + b) = 1 + (a + b + a b), which keep q = R(dt M) - 1's low
+    bits; unit quaternions are renormalized once per segment (the norm is
+    multiplicative).  A non-finite q raises :class:`IntegrationBlowUpError`
+    at the segment's first step, a power that overflows "by" its last.
     """
     if not controls:
         raise ValueError("control schedule must be nonempty")
     seg_steps = max(1, steps // len(controls))
     seg_t = t_final / len(controls)
-    g = model.identity.ravel().tolist()
-    quaternion = model.kind == "quaternion"
+    g = model.identity
     for segment, (u1, u2, u0) in enumerate(controls):
         z = (seg_t / seg_steps) * model.combo(u1, u2, u0)
-        # q = R(z) - 1 for RK4's stability function R; stepping g + g q
-        # rather than g R(z) keeps each step's rounding at the step's size.
         with np.errstate(over="ignore", invalid="ignore"):
             q = z + model.mul(z, z / 2.0 + model.mul(z, z / 6.0 + model.mul(z, z / 24.0)))
-            terms = model._right_mul_terms(q)
-        for n in range(seg_steps):
-            dg = [0.0] * len(g)
-            for out, col, coef in terms:
-                dg[out] += coef * g[col]
-            g = [x + d for x, d in zip(g, dg)]
-            if not all(map(math.isfinite, g)):
-                raise IntegrationBlowUpError(segment * seg_steps + n + 1)
-            if quaternion:
-                norm = math.sqrt(sum(x * x for x in g))
-                g = [x / norm for x in g]
-    return np.array(g).reshape(model.identity.shape)
+            if not np.all(np.isfinite(q)):
+                raise IntegrationBlowUpError(segment * seg_steps + 1)
+            acc, n = np.zeros_like(q), seg_steps
+            while n:
+                if n & 1:
+                    acc = acc + q + model.mul(acc, q)
+                n >>= 1
+                if n:
+                    q = 2.0 * q + model.mul(q, q)
+            g = g + model.mul(g, acc)
+            if model.kind == "quaternion":
+                g = g / math.hypot(*g.tolist())
+        if not np.all(np.isfinite(g)):
+            raise IntegrationBlowUpError((segment + 1) * seg_steps, "by")
+    return g
 
 
 # --- shooting ---------------------------------------------------------------
@@ -452,8 +448,10 @@ class ShootingResult:
 
 
 HIT_TOLERANCE = 1e-6
-# The shooting grid's flight times, i.e. candidate lengths, span [0.15, 2].
+# The shooting grid's flight times, i.e. candidate lengths, span [0.15, 2];
+# its h0 values span [-3, 3].
 _GRID_T_MAX = 2.0
+_GRID_H0_MAX = 3.0
 
 
 def _shoot_steps(t: float) -> int:
@@ -574,7 +572,6 @@ def shoot_distance(
     model: GroupModel,
     target: np.ndarray,
     budget: int = 200,
-    h0_max: float = 3.0,
 ) -> ShootingResult:
     """Estimate the path-length distance from the identity to ``target``.
 
@@ -612,7 +609,7 @@ def shoot_distance(
         return (_shoot_endpoint(model, alpha, h0, t) - target).ravel()
 
     alphas = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
-    h0s = np.linspace(-h0_max, h0_max, 9)
+    h0s = np.linspace(-_GRID_H0_MAX, _GRID_H0_MAX, 9)
     ts = np.linspace(0.15, _GRID_T_MAX, 10)
     # Path p = k * per_t + idx flies the covector ts[k] * (cos alpha, sin
     # alpha, h0) over unit time; idx is its (alpha, h0) index at that t.

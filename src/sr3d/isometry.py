@@ -62,36 +62,10 @@ class APoint:
             raise ValueError(f"APoint requires y < 0, got y = {self.y}")
 
 
-@dataclass(frozen=True)
-class PolarPoint:
-    """Half-plane polar coordinates (rho, theta) plus the third coordinate.
-
-    ``phi_or_z`` is the unbounded cover coordinate z, or the quotient angle
-    phi = z / 2 in [-pi, pi], depending on context.
-    """
-
-    rho: float
-    theta: float
-    phi_or_z: float
-
-    def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError(f"PolarPoint requires rho > 0, got {self.rho}")
-        if not abs(self.theta) < 0.5 * math.pi:
-            raise ValueError(f"PolarPoint requires |theta| < pi/2, got {self.theta}")
-
-
-def to_polar(p: APoint) -> PolarPoint:
-    """x = rho sin(theta), y = -rho cos(theta); theta measured from the -y axis."""
-    rho = math.hypot(p.x, p.y)
-    theta = math.atan2(p.x, -p.y)
-    return PolarPoint(rho, theta, p.z)
-
-
-def from_polar(pp: PolarPoint) -> APoint:
-    return APoint(
-        pp.rho * math.sin(pp.theta), -pp.rho * math.cos(pp.theta), pp.phi_or_z
-    )
+def polar(p: APoint) -> Tuple[float, float]:
+    """(rho, theta) with x = rho sin(theta), y = -rho cos(theta); theta is
+    measured from the -y axis, so rho > 0 and |theta| < pi/2."""
+    return math.hypot(p.x, p.y), math.atan2(p.x, -p.y)
 
 
 def half_angle_ratio(x: float, y: float) -> float:
@@ -189,20 +163,14 @@ def psi_entries(rho, theta, phi, signs=(1.0, 1.0, 1.0, 1.0), arg_sign=1.0):
 PsiFn = Callable[..., Tuple[float, float, float, float]]
 
 
-def _psi_matrix(psi: PsiFn, rho: float, theta: float, phi: float) -> np.ndarray:
-    """The 2x2 matrix of the entries ``psi`` gives at (rho, theta, phi)."""
+def map_Psi(rho: float, theta: float, phi: float, psi: PsiFn = psi_entries) -> np.ndarray:
+    """The global isometry: the 2x2 matrix of the entries ``psi`` gives."""
     return np.array(psi(rho, theta, phi)).reshape(2, 2)
-
-
-def map_Psi(pp: PolarPoint) -> np.ndarray:
-    """The global isometry, with ``phi_or_z`` read as the angle phi."""
-    return _psi_matrix(psi_entries, pp.rho, pp.theta, pp.phi_or_z)
 
 
 def psi_of_apoint(p: APoint, psi: PsiFn = psi_entries) -> np.ndarray:
     """Psi evaluated on a chart point, converting z to phi = z / 2."""
-    pp = to_polar(p)
-    return _psi_matrix(psi, pp.rho, pp.theta, 0.5 * pp.phi_or_z)
+    return map_Psi(*polar(p), 0.5 * p.z, psi)
 
 
 def psi_inverse(m11, m12, m21, m22):
@@ -424,16 +392,16 @@ def run_certification(
     samples: int = 50,
     seed: int = 42,
     psi: PsiFn = psi_entries,
-    nagano_steps: int = NAGANO_STEPS,
 ) -> List[CheckResult]:
     """Run the whole certification battery; deterministic for a fixed seed.
 
     ``samples`` scales the randomized checks: endpoint-map consistency,
     round trip and determinant use 20x samples, the finite-difference
     brackets 2x, the control-flow rows (intertwining and its step-doubling
-    discretisation estimate) 1x, each schedule flown at ``nagano_steps``
-    and at half that, and the pushforward rows 0.4x.  With samples = 0 only
-    the exact fixed-point checks run; samples < 0 raises ValueError.
+    discretisation estimate) 1x, each schedule flown at ``NAGANO_STEPS``
+    (read at call time) and at half that, and the pushforward rows 0.4x.
+    With samples = 0 only the exact fixed-point checks run; samples < 0
+    raises ValueError.
     """
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
@@ -442,11 +410,11 @@ def run_certification(
 
     # Exact fixed points.
     half = math.sqrt(0.5)
-    identity_gap = float(np.max(np.abs(_psi_matrix(psi, 1.0, 0.0, 0.0) - np.eye(2))))
+    identity_gap = float(np.max(np.abs(map_Psi(1.0, 0.0, 0.0, psi) - np.eye(2))))
     results.append(_result("psi_identity_fixed_point", 1, identity_gap, 1e-12))
 
-    prod = _psi_matrix(psi, half, 0.25 * math.pi, math.pi) @ _psi_matrix(
-        psi, half, -0.25 * math.pi, -math.pi
+    prod = map_Psi(half, 0.25 * math.pi, math.pi, psi) @ map_Psi(
+        half, -0.25 * math.pi, -math.pi, psi
     )
     prod_gap = float(np.max(np.abs(prod - NON_HOMOMORPHISM_PRODUCT)))
     results.append(_result("psi_nonhomomorphism_product", 1, prod_gap, 1e-12))
@@ -507,8 +475,7 @@ def run_certification(
         round_gap = max(
             round_gap, abs(back[0] - t1), abs(back[1] - t2), abs(back[2] - t0)
         )
-        pp = to_polar(_random_apoint(rng))
-        m = _psi_matrix(psi, pp.rho, pp.theta, 0.5 * pp.phi_or_z)
+        m = psi_of_apoint(_random_apoint(rng), psi)
         det_gap = max(det_gap, abs(float(np.linalg.det(m)) - 1.0))
     results.append(_result("psi_consistency", n_psi, cons_gap, 1e-10))
     results.append(_result("endpoint_map_roundtrip", n_psi, round_gap, 1e-10))
@@ -524,8 +491,8 @@ def run_certification(
     for _ in range(samples):
         n_seg = int(rng.integers(1, 6))
         schedule = [tuple(rng.uniform(-1.0, 1.0, size=3)) for _ in range(n_seg)]
-        fine = nagano_check(schedule, 1.0, nagano_steps, psi)
-        coarse = nagano_check(schedule, 1.0, nagano_steps // 2, psi)
+        fine = nagano_check(schedule, 1.0, NAGANO_STEPS, psi)
+        coarse = nagano_check(schedule, 1.0, NAGANO_STEPS // 2, psi)
         nag_gap = max(nag_gap, fine)
         disc_gap = max(disc_gap, abs(coarse - fine) / 15.0)
     results.append(_result("nagano_intertwining", samples, nag_gap, 1e-6))

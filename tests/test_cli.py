@@ -211,6 +211,13 @@ class TestCatalogAndFigure:
         assert main(["figure1"]) == EXIT_OK
         assert "sl2_elliptic_killing,-1,0" in capsys.readouterr().out
 
+    def test_figure1_unwritable_out_is_parse_error(self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "fig.csv")
+        assert main(["figure1", "--out", path]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert captured.err.count("\n") == 1, captured.err
+
 
 class TestGeodesicCommand:
     def test_flat_straight_line_report(self, tmp_path, capsys):
@@ -227,6 +234,14 @@ class TestGeodesicCommand:
         assert data["group_defect"] <= 1e-10
         header = out_csv.read_text().splitlines()[0]
         assert header.startswith("t,h1,h2,h0,g00")
+
+    def test_unwritable_out_is_parse_error(self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "traj.csv")
+        assert main(["geodesic", "--model", "sl2", "--steps", "10", "--out", path]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert captured.err.count("\n") == 1, captured.err
 
     def test_bad_covector_is_parse_error(self, capsys):
         assert main(["geodesic", "--model", "sl2", "--covector", "1,2"]) == EXIT_PARSE
@@ -369,6 +384,12 @@ class TestCertifyCommand:
         assert main(["certify-isometry", "--samples", "-2"]) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.err == "error: --samples must be >= 0, got -2\n"
+        assert captured.out == ""
+
+    def test_negative_seed_is_parse_error(self, capsys):
+        assert main(["certify-isometry", "--samples", "1", "--seed", "-1"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
         assert captured.out == ""
 
     def test_samples_zero_runs_fixed_point_checks_only(self, capsys):

@@ -17,19 +17,18 @@ class TestCoordinates:
                 float(rng.uniform(-3, -0.05)),
                 float(rng.uniform(-7, 7)),
             )
-            q = iso.from_polar(iso.to_polar(p))
-            assert abs(q.x - p.x) <= 1e-12 * (1 + abs(p.x))
-            assert abs(q.y - p.y) <= 1e-12 * (1 + abs(p.y))
-            assert q.z == p.z
+            rho, theta = iso.polar(p)
+            assert abs(rho * math.sin(theta) - p.x) <= 1e-12 * (1 + abs(p.x))
+            assert abs(-rho * math.cos(theta) - p.y) <= 1e-12 * (1 + abs(p.y))
 
     def test_half_angle_ratio_matches_tangent(self, rng):
         for _ in range(200):
             p = iso.APoint(
                 float(rng.uniform(-3, 3)), float(rng.uniform(-3, -0.05)), 0.0
             )
-            pp = iso.to_polar(p)
+            _, theta = iso.polar(p)
             assert iso.half_angle_ratio(p.x, p.y) == pytest.approx(
-                math.tan(pp.theta / 2), abs=1e-13
+                math.tan(theta / 2), abs=1e-13
             )
 
     def test_half_angle_ratio_continuous_at_axis(self):
@@ -127,13 +126,11 @@ class TestEndpointMaps:
 
 class TestPsi:
     def test_identity_fixed_point(self):
-        assert np.array_equal(iso.map_Psi(iso.PolarPoint(1.0, 0.0, 0.0)), np.eye(2))
+        assert np.array_equal(iso.map_Psi(1.0, 0.0, 0.0), np.eye(2))
 
     def test_non_homomorphism_product(self):
         half = math.sqrt(0.5)
-        prod = iso.map_Psi(iso.PolarPoint(half, PI / 4, PI)) @ iso.map_Psi(
-            iso.PolarPoint(half, -PI / 4, -PI)
-        )
+        prod = iso.map_Psi(half, PI / 4, PI) @ iso.map_Psi(half, -PI / 4, -PI)
         assert np.max(np.abs(prod - np.array([[2.0, 0.0], [0.5, 0.5]]))) <= 1e-12
 
     def test_not_a_group_homomorphism(self):
@@ -146,12 +143,12 @@ class TestPsi:
 
     def test_determinant_one(self, rng):
         for _ in range(1000):
-            pp = iso.PolarPoint(
+            m = iso.map_Psi(
                 float(rng.uniform(0.1, 4.0)),
                 float(rng.uniform(-1.5, 1.5)),
                 float(rng.uniform(-PI, PI)),
             )
-            assert abs(np.linalg.det(iso.map_Psi(pp)) - 1.0) <= 1e-12
+            assert abs(np.linalg.det(m) - 1.0) <= 1e-12
 
     def test_injective_on_fundamental_domain(self):
         # Psi has a left inverse on the 50^3 grid, so no two grid points
@@ -178,7 +175,8 @@ class TestPsi:
                 float(rng.uniform(-PI, PI)),
             )
             rho, theta, phi = (float(v) for v in iso.psi_inverse(*m.ravel()))
-            back = iso.map_Psi(iso.PolarPoint(rho, theta, phi))
+            assert rho > 0 and abs(theta) < PI / 2
+            back = iso.map_Psi(rho, theta, phi)
             assert np.max(np.abs(back - m)) <= 1e-12 * np.max(np.abs(m))
 
 
@@ -347,8 +345,9 @@ class TestCertification:
             (r.name, r.max_residual) for r in results if not r.passed
         ]
 
-    def test_discretisation_row_has_teeth(self):
-        results = iso.run_certification(samples=5, seed=7, nagano_steps=12)
+    def test_discretisation_row_has_teeth(self, monkeypatch):
+        monkeypatch.setattr(iso, "NAGANO_STEPS", 12)
+        results = iso.run_certification(samples=5, seed=7)
         rows = {r.name: r for r in results}
         assert not rows["nagano_discretisation"].passed
         assert all(r.passed for r in results if not r.name.startswith("nagano")), [
