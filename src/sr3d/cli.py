@@ -10,7 +10,9 @@ blow-up / shooting non-convergence, 6 certification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -157,12 +159,20 @@ def load_structure_file(path: str) -> tuple[str, SRStructure]:
     return structure_from_dict(data)
 
 
-def _write_file(path: str, write) -> None:
-    """Call ``write(stream)`` on ``path`` opened for text; an OSError is
-    reported as a parse error, as :func:`load_structure_file` reports reads."""
+@contextlib.contextmanager
+def _output_file(path: str):
+    """``path`` opened for text before the block runs.  An OSError, from the
+    open or inside the block, is reported as a parse error, as
+    :func:`load_structure_file` reports reads; if the block raises, the file
+    is removed, so a failed command leaves no partial file behind."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
+            try:
+                yield fh
+            except BaseException:
+                fh.close()
+                os.remove(path)
+                raise
     except OSError as exc:
         raise StructureParseError(f"cannot write {path}: {exc}") from exc
 
@@ -325,7 +335,8 @@ def cmd_figure1(args) -> int:
         rows.append(f"{name},{format(kappa, '.12g')},{format(chi, '.12g')}")
     text = "\n".join(rows) + "\n"
     if args.out:
-        _write_file(args.out, lambda fh: fh.write(text))
+        with _output_file(args.out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -354,9 +365,12 @@ def cmd_geodesic(args) -> int:
     model = build_model(args.model)
     h1, h2, h0 = _parse_covector(args.covector)
     initial = GeodesicState(model.identity, h1, h2, h0)
-    traj = integrate_geodesic(model, model.frame, initial, args.time, args.steps)
-    if args.out:
-        _write_file(args.out, lambda fh: trajectory_to_csv(traj, fh))
+    # --out is opened before the flight, so a path that cannot be written
+    # fails at once; a flight that fails removes it again.
+    with _output_file(args.out) if args.out else contextlib.nullcontext() as fh:
+        traj = integrate_geodesic(model, model.frame, initial, args.time, args.steps)
+        if fh is not None:
+            trajectory_to_csv(traj, fh)
     Report(
         {
             "model": model.id,

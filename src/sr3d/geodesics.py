@@ -1,11 +1,12 @@
 """Normal geodesics of left-invariant structures on matrix-group models.
 
 The Hamiltonian system splits into a vertical covector subsystem driven by
-the frame constants,
+the frame constants, hk' = sum_i hi <lambda, [fi, fk]> (i = 1, 2) with
+hk = <lambda, fk>,
 
-    h1' = -(c12_1 h1 + c12_2 h2 + h0) h2
-    h2' =  (c12_1 h1 + c12_2 h2 + h0) h1
-    h0' = -(c01_1 h1 + c01_2 h2) h1 - (c02_1 h1 + c02_2 h2) h2
+    h1' =  (c12_1 h1 + c12_2 h2 + h0) h2
+    h2' = -(c12_1 h1 + c12_2 h2 + h0) h1
+    h0' =  (c01_1 h1 + c01_2 h2) h1 + (c02_1 h1 + c02_2 h2) h2
 
 and a horizontal subsystem g' = g (h1 A1 + h2 A2) on a matrix (or unit
 quaternion) realization of the group.  Both are integrated jointly with
@@ -245,9 +246,9 @@ def vertical_rhs(
 ) -> Tuple[float, float, float]:
     """Covector equations of the normal geodesic flow for this frame."""
     w = frame.c12_1 * h1 + frame.c12_2 * h2 + h0
-    dh1 = -w * h2
-    dh2 = w * h1
-    dh0 = -(frame.c01_1 * h1 + frame.c01_2 * h2) * h1 - (
+    dh1 = w * h2
+    dh2 = -w * h1
+    dh0 = (frame.c01_1 * h1 + frame.c01_2 * h2) * h1 + (
         frame.c02_1 * h1 + frame.c02_2 * h2
     ) * h2
     return dh1, dh2, dh0

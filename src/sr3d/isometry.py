@@ -17,14 +17,16 @@ gives the closed-form diffeomorphism
                            [rho sin(theta - phi), rho cos(theta - phi)]]
 
 in half-plane polar coordinates (x = rho sin theta, y = -rho cos theta,
-phi = z / 2).  Everything here is a verbatim transcription of those closed
-forms plus the redundancy checks that certify them numerically: endpoint-map
-consistency, control-flow (Nagano) intertwining with a step-doubling
-estimate of its RK4 error, pushforward of the frame, the kernel /
-centrality facts that make Psi well defined on the quotient by z -> z + 4 pi,
-and the closed-form inverse (phi = atan2(m12, m11), theta - phi =
-atan2(m21, m22), rho = cos theta (m21^2 + m22^2)), whose round trip on a
-grid of the fundamental domain certifies that Psi is injective there.
+phi = z / 2).  The coordinates (x, y, z) are global and Psi is 4 pi-periodic
+in z, so the flows here run for any z, with no chart guard.  Everything here
+is a verbatim transcription of those closed forms plus the redundancy checks
+that certify them numerically: endpoint-map consistency, control-flow
+(Nagano) intertwining with a step-doubling estimate of its RK4 error,
+pushforward of the frame, the kernel / centrality facts that make Psi well
+defined on the quotient by z -> z + 4 pi, and the closed-form inverse
+(phi = atan2(m12, m11), theta - phi = atan2(m21, m22), rho = cos theta
+(m21^2 + m22^2)), whose round trip on a grid of the fundamental domain
+certifies that Psi is injective there.
 """
 
 from __future__ import annotations
@@ -36,17 +38,14 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geodesics import _rk4_step, build_model, integrate_controls, sl2_basis
+from .geodesics import (IntegrationBlowUpError, _rk4_step, build_model,
+                        integrate_controls, sl2_basis)
 
 TWO_PI = 2.0 * math.pi
 
 # RK4 steps per Nagano schedule.  The step-doubling row runs N and N / 2;
 # 240 is a multiple of 120, so both split evenly over 1-5 segments.
 NAGANO_STEPS = 240
-
-
-class ChartExitError(RuntimeError):
-    """A flow left the |z| < 2 pi chart where the comparison is valid."""
 
 
 @dataclass(frozen=True)
@@ -68,16 +67,6 @@ def polar(p: APoint) -> Tuple[float, float]:
     return math.hypot(p.x, p.y), math.atan2(p.x, -p.y)
 
 
-def half_angle_ratio(x: float, y: float) -> float:
-    """tan(theta/2) for the half-plane point (x, y), continuous through x = 0.
-
-    Algebraically equal to (y + sqrt(x^2 + y^2)) / x for x != 0, but the
-    form x / (rho - y) has no cancellation near x = 0 and extends to 0 there.
-    """
-    rho = math.hypot(x, y)
-    return x / (rho - y)
-
-
 # --- group operations on the affine model -----------------------------------
 
 IDENTITY_APOINT = APoint(0.0, -1.0, 0.0)
@@ -92,7 +81,7 @@ def matrix_to_apoint(g: np.ndarray) -> APoint:
     return APoint(float(g[0, 2]), -float(g[0, 0]), float(g[1, 2]))
 
 
-# --- coordinate frame on the chart -------------------------------------------
+# --- coordinate frame ----------------------------------------------------------
 
 def frame_hat(p: APoint) -> Tuple[np.ndarray, np.ndarray]:
     """The rotated orthonormal frame in (dx, dy, dz) components."""
@@ -123,9 +112,8 @@ def map_F(t1: float, t2: float, t0: float) -> APoint:
 
 def map_F_inv(p: APoint) -> Tuple[float, float, float]:
     """Closed-form inverse of :func:`map_F`; defined on the whole half-space."""
-    rho = math.hypot(p.x, p.y)
-    xi = half_angle_ratio(p.x, p.y)
-    return (-0.5 * math.log(rho), math.atanh(xi), math.atan(xi) - 0.5 * p.z)
+    rho, theta = polar(p)
+    return -0.5 * math.log(rho), math.atanh(math.tan(0.5 * theta)), 0.5 * (theta - p.z)
 
 
 def map_G(t1: float, t2: float, t0: float) -> np.ndarray:
@@ -197,7 +185,7 @@ def psi_round_trip_gap(grid: int = 50) -> float:
             np.linspace(-math.pi + TWO_PI / grid, math.pi, grid))
     x = np.meshgrid(*axes, indexing="ij")
     back = psi_inverse(*psi_entries(*x))
-    return float(max(np.max(np.abs(b - a)) for a, b in zip(x, back)))
+    return float(np.max([np.max(np.abs(b - a)) for a, b in zip(x, back)]))
 
 
 def psi_consistency(
@@ -216,13 +204,13 @@ def integrate_chart(
     t_final: float,
     steps: int,
     start: APoint = IDENTITY_APOINT,
-    enforce_chart: bool = True,
 ) -> APoint:
-    """RK4 flow of u1 fhat1 + u2 fhat2 + u0 f0 in chart coordinates."""
+    """RK4 flow of u1 fhat1 + u2 fhat2 + u0 f0 in (x, y, z); a segment that
+    ends non-finite raises :class:`IntegrationBlowUpError` "by" its last step."""
     state = [start.x, start.y, start.z]
     seg_steps = max(1, steps // len(controls))
     dt = t_final / len(controls) / seg_steps
-    for u1, u2, u0 in controls:
+    for segment, (u1, u2, u0) in enumerate(controls):
         def rhs(p):
             _, y, z = p
             s, c = math.sin(z), math.cos(z)
@@ -230,8 +218,8 @@ def integrate_chart(
 
         for _ in range(seg_steps):
             state = _rk4_step(rhs, state, dt)
-            if enforce_chart and abs(state[2]) >= TWO_PI:
-                raise ChartExitError(f"|z| reached {abs(state[2]):.3f} >= 2 pi")
+        if not all(map(math.isfinite, state)):
+            raise IntegrationBlowUpError((segment + 1) * seg_steps, "by")
     return APoint(*state)
 
 
@@ -270,7 +258,7 @@ def nagano_check(
 
 def _flow_frame_field(p: APoint, index: int, eps: float, steps: int = 8) -> APoint:
     u = (1.0, 0.0, 0.0) if index == 1 else (0.0, 1.0, 0.0)
-    return integrate_chart([u], eps, steps, start=p, enforce_chart=False)
+    return integrate_chart([u], eps, steps, start=p)
 
 
 def pushforward_check(p: APoint, eps: float, psi: PsiFn = psi_entries) -> float:
@@ -281,12 +269,12 @@ def pushforward_check(p: APoint, eps: float, psi: PsiFn = psi_entries) -> float:
     """
     g1, g2, _ = sl2_basis()
     base = psi_of_apoint(p, psi)
-    residual = 0.0
+    gaps = []
     for index, gen in ((1, g1), (2, g2)):
         moved = psi_of_apoint(_flow_frame_field(p, index, eps), psi)
         diff = (moved - base) / eps
-        residual = max(residual, float(np.max(np.abs(diff - base @ gen))))
-    return residual
+        gaps.append(np.abs(diff - base @ gen))
+    return float(np.max(gaps))
 
 
 def pushforward_gram(p: APoint, eps: float = 1e-4, psi: PsiFn = psi_entries) -> np.ndarray:
@@ -325,7 +313,8 @@ def quotient_check(k_range: Sequence[int], rng: Optional[np.random.Generator] = 
     rng = np.random.default_rng(0) if rng is None else rng
     for k in k_range:
         center = kernel_point(k)
-        if float(np.max(np.abs(psi_of_apoint(center, psi) - np.eye(2)))) > 1e-12:
+        gap = float(np.max(np.abs(psi_of_apoint(center, psi) - np.eye(2))))
+        if not gap <= 1e-12:  # a NaN gap fails too
             return False
         for _ in range(100):
             q = APoint(
@@ -340,12 +329,6 @@ def quotient_check(k_range: Sequence[int], rng: Optional[np.random.Generator] = 
 
 # --- finite-difference bracket certification -------------------------------------
 
-def _chart_field(p: APoint, index: int) -> np.ndarray:
-    if index == 0:
-        return f0_chart()
-    return frame_hat(p)[index - 1]
-
-
 def finite_difference_bracket(
     index_a: int, index_b: int, p: APoint, step: float = 1e-4
 ) -> np.ndarray:
@@ -357,7 +340,7 @@ def finite_difference_bracket(
     coords = np.array([p.x, p.y, p.z])
 
     def field(idx, c):
-        return _chart_field(APoint(c[0], c[1], c[2]), idx)
+        return f0_chart() if idx == 0 else frame_hat(APoint(*c))[idx - 1]
 
     xa = field(index_a, coords)
     xb = field(index_b, coords)
@@ -381,7 +364,10 @@ class CheckResult:
     passed: bool
 
 
-def _result(name: str, samples: int, residual: float, tol: float) -> CheckResult:
+def _result(name: str, samples: int, residuals, tol: float) -> CheckResult:
+    """A row whose residual is the largest entry of ``residuals`` (a float,
+    an array or a list of them); a NaN entry makes it NaN, so the row fails."""
+    residual = float(np.max(residuals))
     return CheckResult(name, samples, residual, tol, residual <= tol)
 
 
@@ -420,15 +406,12 @@ def run_certification(
     results.append(_result("psi_nonhomomorphism_product", 1, prod_gap, 1e-12))
 
     ks = range(-2, 3)
-    kernel_gap = 0.0
+    kernel_gaps = []
     for k in ks:
         p = map_F(0.0, 0.0, 2.0 * math.pi * k)
         expect = kernel_point(k)
-        kernel_gap = max(
-            kernel_gap,
-            abs(p.x - expect.x), abs(p.y - expect.y), abs(p.z - expect.z),
-        )
-    results.append(_result("kernel_points", len(ks), kernel_gap, 1e-12))
+        kernel_gaps += [abs(p.x - expect.x), abs(p.y - expect.y), abs(p.z - expect.z)]
+    results.append(_result("kernel_points", len(ks), kernel_gaps, 1e-12))
     results.append(_result(
         "kernel_centrality", 5,
         0.0 if quotient_check(range(-2, 3), rng, psi) else 1.0, 0.0,
@@ -440,78 +423,69 @@ def run_certification(
     # Matrix-side commutators are exact integer combinations.
     g1, g2, g3 = sl2_basis()
     g0 = -g3
-    comm_gap = max(
-        float(np.max(np.abs((g1 @ g0 - g0 @ g1) - (-g2)))),
-        float(np.max(np.abs((g2 @ g0 - g0 @ g2) - g1))),
-        float(np.max(np.abs((g2 @ g1 - g1 @ g2) - g0))),
-    )
-    results.append(_result("matrix_commutators", 3, comm_gap, 1e-14))
+    comm_gaps = [
+        np.abs((g1 @ g0 - g0 @ g1) - (-g2)),
+        np.abs((g2 @ g0 - g0 @ g2) - g1),
+        np.abs((g2 @ g1 - g1 @ g2) - g0),
+    ]
+    results.append(_result("matrix_commutators", 3, comm_gaps, 1e-14))
 
     # Finite-difference brackets of the chart frame.
-    fd_gap = 0.0
+    fd_gaps = []
     n_fd = 2 * samples
     for _ in range(n_fd):
         p = _random_apoint(rng)
         f1, f2 = frame_hat(p)
-        fd_gap = max(
-            fd_gap,
-            float(np.max(np.abs(finite_difference_bracket(1, 0, p) - (-f2)))),
-            float(np.max(np.abs(finite_difference_bracket(2, 0, p) - f1))),
-            float(np.max(np.abs(finite_difference_bracket(2, 1, p) - f0_chart()))),
-        )
-    results.append(_result("frame_commutators_fd", n_fd, fd_gap, 1e-5))
+        fd_gaps += [
+            np.abs(finite_difference_bracket(1, 0, p) - (-f2)),
+            np.abs(finite_difference_bracket(2, 0, p) - f1),
+            np.abs(finite_difference_bracket(2, 1, p) - f0_chart()),
+        ]
+    results.append(_result("frame_commutators_fd", n_fd, fd_gaps, 1e-5))
 
     # Determinant identity and endpoint-map consistency.
     n_psi = 20 * samples
-    det_gap = 0.0
-    cons_gap = 0.0
-    round_gap = 0.0
+    det_gaps, cons_gaps, round_gaps = [], [], []
     for _ in range(n_psi):
         t1 = float(rng.uniform(-1.5, 1.5))
         t2 = float(rng.uniform(-3.0, 3.0))
         t0 = float(rng.uniform(-1.5, 1.5))
-        cons_gap = max(cons_gap, psi_consistency(t1, t2, t0, psi))
+        cons_gaps.append(psi_consistency(t1, t2, t0, psi))
         back = map_F_inv(map_F(t1, t2, t0))
-        round_gap = max(
-            round_gap, abs(back[0] - t1), abs(back[1] - t2), abs(back[2] - t0)
-        )
+        round_gaps += [abs(back[0] - t1), abs(back[1] - t2), abs(back[2] - t0)]
         m = psi_of_apoint(_random_apoint(rng), psi)
-        det_gap = max(det_gap, abs(float(np.linalg.det(m)) - 1.0))
-    results.append(_result("psi_consistency", n_psi, cons_gap, 1e-10))
-    results.append(_result("endpoint_map_roundtrip", n_psi, round_gap, 1e-10))
-    results.append(_result("psi_determinant", n_psi, det_gap, 1e-10))
+        det_gaps.append(abs(float(np.linalg.det(m)) - 1.0))
+    results.append(_result("psi_consistency", n_psi, cons_gaps, 1e-10))
+    results.append(_result("endpoint_map_roundtrip", n_psi, round_gaps, 1e-10))
+    results.append(_result("psi_determinant", n_psi, det_gaps, 1e-10))
 
     # Control-flow intertwining, and a step-doubling estimate of its RK4
     # error: r(N) - r(N/2) ~ (1 - 2^4) C h^4, so |r(N/2) - r(N)| / 15
     # approximates the discretisation part of r(N).  A wrong map makes both
     # residuals large and nearly equal, leaving the estimate small; the map
     # error shows in the intertwining row alone.
-    nag_gap = 0.0
-    disc_gap = 0.0
+    nag_gaps, disc_gaps = [], []
     for _ in range(samples):
         n_seg = int(rng.integers(1, 6))
         schedule = [tuple(rng.uniform(-1.0, 1.0, size=3)) for _ in range(n_seg)]
         fine = nagano_check(schedule, 1.0, NAGANO_STEPS, psi)
         coarse = nagano_check(schedule, 1.0, NAGANO_STEPS // 2, psi)
-        nag_gap = max(nag_gap, fine)
-        disc_gap = max(disc_gap, abs(coarse - fine) / 15.0)
-    results.append(_result("nagano_intertwining", samples, nag_gap, 1e-6))
-    results.append(_result("nagano_discretisation", samples, disc_gap, 1e-9))
+        nag_gaps.append(fine)
+        disc_gaps.append(abs(coarse - fine) / 15.0)
+    results.append(_result("nagano_intertwining", samples, nag_gaps, 1e-6))
+    results.append(_result("nagano_discretisation", samples, disc_gaps, 1e-9))
 
     # Pushforward: first-order decay in eps and orthonormality transport.
     n_push = max(1, (2 * samples) // 5)
-    ratio_gap = 0.0
-    gram_gap = 0.0
+    ratio_gaps, gram_gaps = [], []
     for _ in range(n_push):
         p = _random_apoint(rng)
         r1 = pushforward_check(p, 1e-3, psi)
         r2 = pushforward_check(p, 5e-4, psi)
-        ratio_gap = max(ratio_gap, abs(r2 / r1 - 0.5))
-        gram_gap = max(
-            gram_gap, float(np.max(np.abs(pushforward_gram(p, psi=psi) - np.eye(2))))
-        )
-    results.append(_result("pushforward_decay", n_push, ratio_gap, 0.2))
-    results.append(_result("pushforward_orthonormality", n_push, gram_gap, 1e-6))
+        ratio_gaps.append(abs(r2 / r1 - 0.5))
+        gram_gaps.append(np.abs(pushforward_gram(p, psi=psi) - np.eye(2)))
+    results.append(_result("pushforward_decay", n_push, ratio_gaps, 0.2))
+    results.append(_result("pushforward_orthonormality", n_push, gram_gaps, 1e-6))
 
     return results
 

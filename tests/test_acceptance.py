@@ -181,7 +181,7 @@ def test_criterion_6_flat_closed_forms():
     t = traj.times
     vertical_gap = max(
         float(np.max(np.abs(traj.covectors[:, 0] - np.cos(t)))),
-        float(np.max(np.abs(traj.covectors[:, 1] - np.sin(t)))),
+        float(np.max(np.abs(traj.covectors[:, 1] + np.sin(t)))),
     )
     straight = integrate_geodesic(
         model, model.frame, GeodesicState(model.identity, 1.0, 0.0, 0.0), 1.0, 1000
@@ -240,10 +240,10 @@ def _mutated_rhs(site):
             + signs[5] * frame.c12_2 * h2
             + signs[6] * h0
         )
-        dh1 = signs[0] * (-w * h2)
-        dh2 = signs[1] * (w * h1)
-        dh0 = signs[2] * (-(frame.c01_1 * h1 + frame.c01_2 * h2) * h1) + signs[3] * (
-            -(frame.c02_1 * h1 + frame.c02_2 * h2) * h2
+        dh1 = signs[0] * (w * h2)
+        dh2 = signs[1] * (-w * h1)
+        dh0 = signs[2] * ((frame.c01_1 * h1 + frame.c01_2 * h2) * h1) + signs[3] * (
+            (frame.c02_1 * h1 + frame.c02_2 * h2) * h2
         )
         return dh1, dh2, dh0
 
@@ -275,7 +275,7 @@ def _vertical_checks(rhs):
     t = np.linspace(0.0, 5.0, 2001)
     closed_form = (
         float(np.max(np.abs(hs[:, 0] - np.cos(t)))) <= 1e-9
-        and float(np.max(np.abs(hs[:, 1] - np.sin(t)))) <= 1e-9
+        and float(np.max(np.abs(hs[:, 1] + np.sin(t)))) <= 1e-9
     )
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -296,7 +296,7 @@ def _vertical_checks(rhs):
     fields = [generic.f1, generic.f2, generic.f0]
     gamma = np.array(
         [
-            [np.linalg.solve(basis, bracket(generic.algebra, fields[k], fields[i]))
+            [np.linalg.solve(basis, bracket(generic.algebra, fields[i], fields[k]))
              for i in range(3)]
             for k in range(3)
         ]

@@ -243,6 +243,23 @@ class TestGeodesicCommand:
         assert captured.err.startswith(f"error: cannot write {path}: ")
         assert captured.err.count("\n") == 1, captured.err
 
+    def test_unwritable_out_fails_before_the_flight(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the geodesic command flew before it opened --out")
+
+        monkeypatch.setattr(cli, "integrate_geodesic", unreachable)
+        path = str(tmp_path / "missing" / "traj.csv")
+        assert main(["geodesic", "--model", "sl2", "--steps", "10", "--out", path]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+
+    def test_failed_flight_leaves_no_out_file(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        code = main(["geodesic", "--model", "sl2", "--covector", "0.8,0.6,0.7",
+                     "--time", "1e6", "--steps", "10", "--out", str(path)])
+        assert code == EXIT_INTEGRATION
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_covector_is_parse_error(self, capsys):
         assert main(["geodesic", "--model", "sl2", "--covector", "1,2"]) == EXIT_PARSE
 

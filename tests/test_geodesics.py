@@ -48,14 +48,14 @@ class TestVerticalRhs:
     def test_flat_vertical_rotation_rate(self, models):
         fr = models["heisenberg"].frame
         dh1, dh2, dh0 = vertical_rhs(fr, 1.0, 0.0, 1.0)
-        assert (dh1, dh2, dh0) == (0.0, 1.0, 0.0)
+        assert (dh1, dh2, dh0) == (0.0, -1.0, 0.0)
 
     def test_zero_covector_is_stationary(self, models):
         for model in models.values():
             assert vertical_rhs(model.frame, 0.0, 0.0, 0.7) == (0.0, 0.0, 0.0)
 
     def test_matches_bracket_tensor_expansion(self, rng):
-        # Independent oracle: dh_k = sum_i h_i <lambda, [f_k, f_i]> expanded
+        # Independent oracle: dh_k = sum_i h_i <lambda, [f_i, f_k]> expanded
         # through the numeric coordinates of the frame brackets, on a frame
         # with all six constants nonzero.
         from sr3d.algebra import bracket
@@ -66,7 +66,7 @@ class TestVerticalRhs:
         fields = [fr.f1, fr.f2, fr.f0]
         gamma = np.array(
             [
-                [np.linalg.solve(basis, bracket(fr.algebra, fields[k], fields[i]))
+                [np.linalg.solve(basis, bracket(fr.algebra, fields[i], fields[k]))
                  for i in range(3)]
                 for k in range(3)
             ]
@@ -81,6 +81,62 @@ class TestVerticalRhs:
             assert np.max(np.abs(np.array(got) - expected)) <= 1e-12 * (
                 1 + np.max(np.abs(expected))
             )
+
+
+def ambient_flow(model, cov, t_final):
+    """Oracle that assumes no sign convention: the Hamiltonian flow of
+    H(g, p) = 1/2 sum_i <p, g A_i>^2 (i = 1, 2) on R^(n x n), by DOP853.
+
+    p starts as the least-norm matrix with <p, A_k> = h_k.  Returns the
+    endpoint g and the covector h_k = <p, g A_k> at ``t_final``.
+    """
+    from scipy.integrate import solve_ivp
+
+    gens = [model.a1, model.a2, model.a0]
+    n = model.identity.shape[0]
+    gram = np.array([[np.sum(a * b) for b in gens] for a in gens])
+    p0 = sum(c * a for c, a in zip(np.linalg.solve(gram, cov), gens))
+
+    def rhs(_, y):
+        g, p = y[: n * n].reshape(n, n), y[n * n :].reshape(n, n)
+        u = [np.sum(p * (g @ a)) for a in gens[:2]]
+        dg = sum(ui * g @ a for ui, a in zip(u, gens[:2]))
+        dp = -sum(ui * p @ a.T for ui, a in zip(u, gens[:2]))
+        return np.concatenate([dg.ravel(), dp.ravel()])
+
+    y0 = np.concatenate([model.identity.ravel(), p0.ravel()])
+    y = solve_ivp(rhs, (0.0, t_final), y0, method="DOP853", rtol=1e-13, atol=1e-15).y[:, -1]
+    g, p = y[: n * n].reshape(n, n), y[n * n :].reshape(n, n)
+    return g, np.array([np.sum(p * (g @ a)) for a in gens])
+
+
+class TestSignOracles:
+    """Checks of the covector equations that assume no sign convention."""
+
+    @pytest.mark.parametrize("mid", ["heisenberg", "a_plus_r", "sl2"])
+    def test_matches_ambient_hamiltonian_flow(self, models, mid):
+        model = models[mid]
+        g, cov = ambient_flow(model, np.array([0.6, 0.8, 0.3]), 1.5)
+        traj = integrate_geodesic(model, model.frame, start(model, 0.6, 0.8, 0.3), 1.5, 3000)
+        assert np.max(np.abs(traj.endpoint - g)) <= 1e-9
+        assert np.max(np.abs(np.array(traj.final_covector) - cov)) <= 1e-9
+
+    @pytest.mark.parametrize("cov", [(0.6, 0.8, 0.3), (1.0, 0.0, -0.7), (0.0, 1.0, 1.0)])
+    def test_psi_carries_affine_geodesics_onto_sl2(self, models, cov):
+        ma, ms = models["a_plus_r"], models["sl2"]
+        affine = integrate_geodesic(ma, ma.frame, start(ma, *cov), 2.0, 2000)
+        simple = integrate_geodesic(ms, ms.frame, start(ms, *cov), 2.0, 2000)
+        for qa, gs in zip(affine.elements, simple.elements):
+            assert np.max(np.abs(psi_of_apoint(matrix_to_apoint(qa)) - gs)) <= 1e-9
+
+    @pytest.mark.parametrize("cov", [(0.6, 0.8, 0.3), (1.0, 0.0, -0.7), (0.0, 1.0, 1.0)])
+    def test_affine_distance_at_unit_length(self, models, cov):
+        # A unit-speed normal geodesic of length 1.0 that is still minimising.
+        model = models["a_plus_r"]
+        target, _ = ambient_flow(model, np.array(cov), 1.0)
+        result = shoot_distance(model, target)
+        assert result.converged
+        assert abs(result.distance - 1.0) <= 1e-6
 
 
 class TestModelRealizations:
@@ -127,7 +183,7 @@ class TestIntegration:
         traj = integrate_geodesic(model, model.frame, start(model, 1, 0, 1), 5.0, 5000)
         t = traj.times
         assert np.max(np.abs(traj.covectors[:, 0] - np.cos(t))) <= 1e-9
-        assert np.max(np.abs(traj.covectors[:, 1] - np.sin(t))) <= 1e-9
+        assert np.max(np.abs(traj.covectors[:, 1] + np.sin(t))) <= 1e-9
         assert np.max(np.abs(traj.covectors[:, 2] - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize(

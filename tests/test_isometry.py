@@ -5,6 +5,7 @@ import pytest
 
 from sr3d import isometry as iso
 from sr3d.cli import PSI_MUTANTS
+from sr3d.geodesics import IntegrationBlowUpError
 
 PI = math.pi
 
@@ -20,19 +21,6 @@ class TestCoordinates:
             rho, theta = iso.polar(p)
             assert abs(rho * math.sin(theta) - p.x) <= 1e-12 * (1 + abs(p.x))
             assert abs(-rho * math.cos(theta) - p.y) <= 1e-12 * (1 + abs(p.y))
-
-    def test_half_angle_ratio_matches_tangent(self, rng):
-        for _ in range(200):
-            p = iso.APoint(
-                float(rng.uniform(-3, 3)), float(rng.uniform(-3, -0.05)), 0.0
-            )
-            _, theta = iso.polar(p)
-            assert iso.half_angle_ratio(p.x, p.y) == pytest.approx(
-                math.tan(theta / 2), abs=1e-13
-            )
-
-    def test_half_angle_ratio_continuous_at_axis(self):
-        assert iso.half_angle_ratio(0.0, -2.0) == 0.0
 
     def test_rejects_upper_half_plane(self):
         with pytest.raises(ValueError):
@@ -84,6 +72,10 @@ class TestFrameHat:
 
 
 class TestEndpointMaps:
+    def test_f_inverse_continuous_at_axis(self):
+        for z in (-20.0, 0.0, 5.0):
+            assert iso.map_F_inv(iso.APoint(0.0, -2.0, z))[1] == 0.0
+
     def test_f_at_origin(self):
         p = iso.map_F(0.0, 0.0, 0.0)
         assert (p.x, p.y, p.z) == (0.0, -1.0, 0.0)
@@ -284,9 +276,17 @@ class TestControlFlows:
             schedule = [tuple(rng.uniform(-1, 1, size=3)) for _ in range(n_seg)]
             assert iso.nagano_check(schedule, 1.0, steps=iso.NAGANO_STEPS) <= 1e-6
 
-    def test_chart_exit_detected(self):
-        with pytest.raises(iso.ChartExitError):
-            iso.integrate_chart([(0.0, 0.0, 3.0)], 3.0, 400)
+    @pytest.mark.parametrize("controls", [[(0.3, -0.2, -8.0)], [(0.0, 0.0, -20.0)]])
+    def test_intertwining_holds_beyond_two_pi(self, controls):
+        # (x, y, z) are global coordinates: these flows end at z ~ 7.9 and
+        # z ~ 20, and the gap is RK4 error alone.
+        assert abs(iso.integrate_chart(controls, 1.0, 2400).z) > 2 * PI
+        assert iso.nagano_check(controls, 1.0, 2400) <= 1e-9
+
+    def test_non_finite_segment_raises(self):
+        with pytest.raises(IntegrationBlowUpError) as err:
+            iso.integrate_chart([(0.1, 0.0, 0.0), (1e5, 0.0, 0.0)], 1.0, 100)
+        assert err.value.step == 100
 
 
 class TestPushforward:
@@ -380,6 +380,19 @@ class TestCertification:
             "kernel_centrality",
         }
         assert all(r.passed for r in results)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
+    def test_nan_psi_fails_every_row_that_evaluates_it(self):
+        def nan_psi(rho, theta, phi):
+            return tuple(np.full(np.shape(rho), np.nan) for _ in range(4))
+
+        assert not iso.quotient_check(range(-2, 3), psi=nan_psi)
+        rows = {r.name: r for r in iso.run_certification(samples=3, seed=11, psi=nan_psi)}
+        psi_free = {"kernel_points", "matrix_commutators", "frame_commutators_fd",
+                    "endpoint_map_roundtrip"}
+        assert {name for name, r in rows.items() if r.passed} == psi_free
+        for name in rows.keys() - psi_free - {"kernel_centrality"}:
+            assert math.isnan(rows[name].max_residual), name
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError, match="samples must be >= 0"):
