@@ -135,21 +135,17 @@ def check_jacobi(algebra: LieAlgebra3) -> JacobiReport:
     Residual for indices (i, j, k, l):
     ``sum_m c[i,j,m] c[m,k,l] + c[j,k,m] c[m,i,l] + c[k,i,m] c[m,j,l]``.
     """
-    c = algebra.c
-    s = (
-        np.einsum("ijm,mkl->ijkl", c, c)
-        + np.einsum("jkm,mil->ijkl", c, c)
-        + np.einsum("kim,mjl->ijkl", c, c)
-    )
+    # The second and third terms are the first with (i, j, k) cycled.
+    t = np.einsum("ijm,mkl->ijkl", algebra.c, algebra.c)
+    s = t + t.transpose(2, 0, 1, 3) + t.transpose(1, 2, 0, 3)
     residual = float(np.max(np.abs(s)))
     tol = jacobi_tolerance(algebra)
     return JacobiReport(residual, tol, residual <= tol)
 
 
 def killing_form(algebra: LieAlgebra3) -> np.ndarray:
-    """Killing form K[i, j] = trace(ad e_i . ad e_j); symmetric 3x3."""
-    ads = [ad_matrix(algebra, algebra.basis_vector(i)) for i in range(3)]
-    k = np.array([[np.trace(ads[i] @ ads[j]) for j in range(3)] for i in range(3)])
+    """Killing form K[i, j] = trace(ad e_i . ad e_j) = sum c[i,l,k] c[j,k,l]."""
+    k = np.einsum("ilk,jkl->ij", algebra.c, algebra.c)
     return 0.5 * (k + k.T)
 
 
@@ -207,12 +203,8 @@ def identify_algebra(algebra: LieAlgebra3) -> str:
         return OTHER
 
     if dim == 1:
-        d = derived[0]
-        # Central derived line <=> [d, e_i] = 0 for all i.
-        central = all(
-            np.max(np.abs(bracket(algebra, d, algebra.basis_vector(i)))) <= tol
-            for i in range(3)
-        )
+        # Central derived line <=> ad(d) = 0.
+        central = np.max(np.abs(ad_matrix(algebra, derived[0]))) <= tol
         return H3 if central else A_PLUS_R
 
     if dim == 2:
@@ -248,5 +240,5 @@ def _unit_normal(plane_basis: np.ndarray) -> Vector3:
 
 def restrict_bilinear(form: np.ndarray, v1: Vector3, v2: Vector3) -> np.ndarray:
     """2x2 restriction of a symmetric bilinear form to span{v1, v2}."""
-    vs = (v1, v2)
-    return np.array([[vs[a] @ form @ vs[b] for b in range(2)] for a in range(2)])
+    v = np.array([v1, v2])
+    return v @ form @ v.T

@@ -3,10 +3,11 @@
 Pipeline: adapted frame -> invariants (chi, kappa) -> dilation
 normalization -> case analysis on the canonical-frame constants.  When
 chi = 0 the normalized kappa in {-1, 0, 1} decides the local isometry class
-outright; when chi > 0 the zero pattern of the canonical constants selects
-one of the seven classes below, and for sl(2) the restriction of the
-Killing form to the distribution separates the elliptic and hyperbolic
-metrics.
+outright, and for sl(2) the sign of the Killing form on the distribution
+separates the elliptic and hyperbolic metrics.  When chi > 0 the pattern of
+the canonical constants selects one of the seven classes below, the sl(2)
+split included: in case (i) that form is diag(-2 c01_2, 2 c02_1), definite
+in (i)(d) and indefinite in (i)(e).
 
 The module also carries the catalog of standard structures (exact integer
 structure constants) that the classification must reproduce, and exports
@@ -102,7 +103,7 @@ def classify(structure: SRStructure) -> ClassLabel:
     else:
         frame = canonical_frame(frame)
         inv = normalize(compute_chi(frame), compute_kappa(frame), scale)
-        label, case = _chi_positive_case(structure, frame)
+        label, case = _chi_positive_case(frame)
 
     return ClassLabel(
         algebra=label,
@@ -117,7 +118,7 @@ def classify(structure: SRStructure) -> ClassLabel:
     )
 
 
-def _chi_positive_case(structure: SRStructure, canon: AdaptedFrame) -> Tuple[str, str]:
+def _chi_positive_case(canon: AdaptedFrame) -> Tuple[str, str]:
     """(label, case) from the zero pattern of the canonical-frame constants."""
     ctol = rel_tol() * canon.scale
     c01_2, c02_1 = canon.c01_2, canon.c02_1
@@ -134,9 +135,9 @@ def _chi_positive_case(structure: SRStructure, canon: AdaptedFrame) -> Tuple[str
         if c01_2 > 0 > c02_1:
             return alg.SU2, "(i)(c)"
         if c01_2 < 0 < c02_1:
-            return _sl2_metric_split(structure), "(i)(d)"
+            return SL2_ELLIPTIC, "(i)(d)"
         if c01_2 > 0 and c02_1 > 0:
-            return _sl2_metric_split(structure), "(i)(e)"
+            return SL2_HYPERBOLIC, "(i)(e)"
         # chi > 0 forbids both c01_2 and c02_1 non-positive.
         raise UnclassifiableError("sign pattern impossible for chi > 0")
     if (not z12_2) and z02_1 and z12_1:

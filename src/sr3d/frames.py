@@ -12,7 +12,7 @@ extracts the six frame constants
 that drive everything downstream.  For left-invariant data the Reeb
 conditions reduce to pure linear algebra: ``f0 = [f2, f1] - a f1 - b f2``
 with (a, b) the unique pair making ``[f1, f0]`` and ``[f2, f0]`` tangent to
-the plane.
+the plane; then (c12_1, c12_2) = (a, b).
 """
 
 from __future__ import annotations
@@ -183,8 +183,11 @@ def frame_from_orthonormal(algebra: LieAlgebra3, f1: Vector3, f2: Vector3) -> Ad
 
     No reordering or sign normalization is applied: the Reeb vector is the
     one with ``[f2, f1] = c12_1 f1 + c12_2 f2 + f0`` for this exact pair.
-    Raises :class:`NotBracketGeneratingError` when [f2, f1] is tangent to
-    the pair's span.
+    Two solves with two right-hand sides each: in the basis (f1, f2, v), for
+    v = [f2, f1], they fix f0 = v - a f1 - b f2 and so (c12_1, c12_2) = (a, b);
+    in (f1, f2, f0) they give c01, c02 and the Reeb residuals.  Raises
+    :class:`NotBracketGeneratingError` when v is tangent to the pair's span
+    or a basis is numerically singular.
     """
     f1 = as_vector3(f1)
     f2 = as_vector3(f2)
@@ -193,42 +196,34 @@ def frame_from_orthonormal(algebra: LieAlgebra3, f1: Vector3, f2: Vector3) -> Ad
         raise NotBracketGeneratingError(
             "distribution is a subalgebra - not bracket generating"
         )
-    basis = np.column_stack([f1, f2, v])
+    try:
+        # v-components p_i of [f_i, v] in the basis {f1, f2, v}.  Requiring
+        # the v-components of [f_i, f0] to vanish is a 2x2 linear system;
+        # since [f2, f1] = v exactly, its equations collapse to p1 + b = 0
+        # and p2 - a = 0, never singular, so a = p2 and b = -p1.
+        p1, p2 = np.linalg.solve(
+            np.column_stack([f1, f2, v]),
+            np.column_stack([bracket(algebra, f1, v), bracket(algebra, f2, v)]),
+        )[2].tolist()
+        a, b = p2, -p1
+        f0 = v - a * f1 - b * f2
+        w = np.linalg.solve(
+            np.column_stack([f1, f2, f0]),
+            np.column_stack([bracket(algebra, f1, f0), bracket(algebra, f2, f0)]),
+        )
+    except np.linalg.LinAlgError as err:
+        raise NotBracketGeneratingError(
+            "frame basis is numerically singular - not bracket generating"
+        ) from err
+    (c01_1, c02_1), (c01_2, c02_2), (r1, r2) = w.tolist()
 
-    # v-components p_i of [f_i, v] in the basis {f1, f2, v}.  Requiring the
-    # v-components of [f_i, f0] to vanish for f0 = v - a f1 - b f2 is a 2x2
-    # linear system; since [f2, f1] = v exactly, its equations collapse to
-    # p1 + b = 0 and p2 - a = 0, never singular, so a = p2 and b = -p1.
-    p1 = float(np.linalg.solve(basis, bracket(algebra, f1, v))[2])
-    p2 = float(np.linalg.solve(basis, bracket(algebra, f2, v))[2])
-    a, b = p2, -p1
-    f0 = v - a * f1 - b * f2
-
-    frame_basis = np.column_stack([f1, f2, f0])
-    w10 = np.linalg.solve(frame_basis, bracket(algebra, f1, f0))
-    w20 = np.linalg.solve(frame_basis, bracket(algebra, f2, f0))
-    w21 = np.linalg.solve(frame_basis, v)
-
-    # Both residuals vanish analytically (the first by the solve above, the
-    # second by construction of f0), so only rounding can show up here.
-    tol = 1e-10 * (1.0 + float(np.max(np.abs([w10, w20, w21]))))
-    if abs(w10[2]) > tol or abs(w20[2]) > tol:
+    # Both residuals vanish analytically, by the first solve, so only
+    # rounding can show up here.
+    tol = 1e-10 * (1.0 + max(1.0, abs(a), abs(b), float(np.max(np.abs(w)))))
+    if abs(r1) > tol or abs(r2) > tol:
         raise NotBracketGeneratingError("Reeb conditions unsolvable for this plane")
-    if abs(w21[2] - 1.0) > tol:
-        raise AssertionError("transverse coefficient of [f2, f1] is not 1")
 
-    return AdaptedFrame(
-        algebra,
-        f1,
-        f2,
-        f0,
-        c01_1=float(w10[0]),
-        c01_2=float(w10[1]),
-        c02_1=float(w20[0]),
-        c02_2=float(w20[1]),
-        c12_1=float(w21[0]),
-        c12_2=float(w21[1]),
-    )
+    return AdaptedFrame(algebra, f1, f2, f0, c01_1, c01_2, c02_1, c02_2, a, b)
 
 
 def reeb_frame(structure: SRStructure) -> AdaptedFrame:

@@ -652,8 +652,10 @@ def shoot_distance(
 
 def trajectory_to_csv(traj: Trajectory, stream: IO[str]) -> None:
     """CSV rows "t,h1,h2,h0,g00,g01,..." with row-major group entries."""
-    flat0 = traj.elements[0].ravel()
-    header = ["t", "h1", "h2", "h0"] + [f"g{i//_cols(traj)}{i%_cols(traj)}" for i in range(flat0.size)]
+    cols = traj.elements[0].shape[-1]
+    header = ["t", "h1", "h2", "h0"] + [
+        f"g{i // cols}{i % cols}" for i in range(traj.elements[0].size)
+    ]
     writer = csv.writer(stream)
     writer.writerow(header)
     for t, h, g in zip(traj.times, traj.covectors, traj.elements):
@@ -662,8 +664,3 @@ def trajectory_to_csv(traj: Trajectory, stream: IO[str]) -> None:
             + [repr(float(x)) for x in h]
             + [repr(float(x)) for x in g.ravel()]
         )
-
-
-def _cols(traj: Trajectory) -> int:
-    shape = traj.elements[0].shape
-    return shape[1] if len(shape) == 2 else shape[0]

@@ -113,7 +113,36 @@ class TestJacobi:
         )
 
 
+    def test_residual_is_bit_identical_to_the_three_einsum_sum(self, entries, rng):
+        tensors = [e.structure.algebra.c for e in entries]
+        for _ in range(500):
+            c = rng.normal(size=(3, 3, 3))
+            tensors.append(c - np.swapaxes(c, 0, 1))
+        for c in tensors:
+            reference = (
+                np.einsum("ijm,mkl->ijkl", c, c)
+                + np.einsum("jkm,mil->ijkl", c, c)
+                + np.einsum("kim,mjl->ijkl", c, c)
+            )
+            assert check_jacobi(LieAlgebra3(c)).max_residual == float(np.max(np.abs(reference)))
+
+
 class TestKillingForm:
+    def test_matches_traces_of_adjoint_products(self, entries, rng):
+        # Jacobi holds on the catalog and its basis changes, and fails on
+        # the random tensors.
+        algebras = [e.structure.algebra for e in entries]
+        algebras += [change_basis(a, random_well_conditioned_matrix(rng)) for a in algebras]
+        for _ in range(100):
+            c = rng.normal(size=(3, 3, 3))
+            algebras.append(LieAlgebra3(c - np.swapaxes(c, 0, 1)))
+        for algebra in algebras:
+            ads = [ad_matrix(algebra, e) for e in E]
+            reference = np.array([[np.trace(a @ b) for b in ads] for a in ads])
+            gap = np.max(np.abs(killing_form(algebra) - reference))
+            # Relative to the size of the entries, which are quadratic in c.
+            assert gap <= 1e-12 * algebra.scale**2
+
     def test_abelian_is_zero(self):
         assert np.allclose(killing_form(ABELIAN), 0.0)
 

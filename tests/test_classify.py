@@ -10,6 +10,7 @@ from sr3d.classify import (
     SL2_HYPERBOLIC,
     catalog_entry,
     classify,
+    _sl2_metric_split,
     figure1_data,
     solvable_ratio_check,
 )
@@ -134,6 +135,21 @@ class TestSignTable:
                 (not z1) and za and z2,
             ]
             assert sum(matches) == 1
+
+
+    def test_chi_positive_sl2_case_agrees_with_the_killing_split(self, entries, rng):
+        # When chi > 0 the case, not the Killing form, names the sl(2)
+        # metric; the sign of Killing on the plane stays the oracle.
+        copies = [entries[k % len(entries)] for k in range(200)]
+        structures = [e.structure for e in entries] + [re_present(e.structure, rng) for e in copies]
+        sl2_cases = ("(i)(d)", "(i)(e)")
+        checked = 0
+        for s in structures:
+            label = classify(s)
+            if label.case in sl2_cases:
+                assert label.algebra == _sl2_metric_split(s), label.case
+                checked += 1
+        assert checked == sum(e.case in sl2_cases for e in list(entries) + copies)
 
 
 class TestSolvableRatio:

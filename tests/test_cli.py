@@ -26,6 +26,35 @@ from sr3d.cli import (
 )
 
 
+ABELIAN_PROBE_7919_8 = """{"name": "aplus", "brackets": [
+        {"i": 0, "j": 1, "k": 0, "value": -0.5282614308232673},
+        {"i": 0, "j": 1, "k": 1, "value": 0.3025504497687645},
+        {"i": 0, "j": 1, "k": 2, "value": -0.2115538643016214},
+        {"i": 0, "j": 2, "k": 0, "value": 0.06875691868851808},
+        {"i": 0, "j": 2, "k": 1, "value": -0.039379056391654454},
+        {"i": 0, "j": 2, "k": 2, "value": 0.027535214568588748},
+        {"i": 1, "j": 2, "k": 0, "value": 0.9692941080544422},
+        {"i": 1, "j": 2, "k": 1, "value": -0.5551424943006993},
+        {"i": 1, "j": 2, "k": 2, "value": 0.3881750630254016}],
+    "span": [[0.7344103005045166, -1.1896940895114612, -0.8396984617182379],
+             [-0.5925089582494776, -0.16756470857338226, 0.24194993856237762]],
+    "gram": [[0.23184964883320738, -0.0017405973421410462],
+             [-0.0017405973421410462, 0.03240958697935446]]}"""
+ABELIAN_PROBE_1_29 = """{"name": "aplus", "brackets": [
+        {"i": 0, "j": 1, "k": 0, "value": 0.12589933986026938},
+        {"i": 0, "j": 1, "k": 1, "value": -0.1063896162190819},
+        {"i": 0, "j": 1, "k": 2, "value": -0.002827709516103931},
+        {"i": 0, "j": 2, "k": 0, "value": 0.05939210112412428},
+        {"i": 0, "j": 2, "k": 1, "value": -0.05018853039303747},
+        {"i": 0, "j": 2, "k": 2, "value": -0.0013339514704087175},
+        {"i": 1, "j": 2, "k": 0, "value": 1.315609565116442},
+        {"i": 1, "j": 2, "k": 1, "value": -1.1117389247809832},
+        {"i": 1, "j": 2, "k": 2, "value": -0.02954869891205129}],
+    "span": [[0.19005458001288503, -0.20037739718993616, 0.8700798971265761],
+             [-2.355690988002581, 0.07579186406076686, -0.08972290670976447]],
+    "gram": [[4.820796497645487, -3.0171539289666605], [-3.0171539289666605, 8.93061147986568]]}"""
+
+
 def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
@@ -70,6 +99,17 @@ class TestClassifyCommand:
         )
         assert main(["classify", "--input", path]) == EXIT_NOT_CONTACT
         assert "subalgebra" in capsys.readouterr().err
+
+    # Abelian planes of a re-presented a(R)+R (abelian_probe_items(7919)[8]
+    # and abelian_probe_items(1)[29] in benchmarks/workloads.py): [f2, f1] is
+    # rounding noise, so a frame solve may find its basis singular.
+    @pytest.mark.parametrize("doc", [ABELIAN_PROBE_7919_8, ABELIAN_PROBE_1_29],
+                             ids=["probe-7919-8", "probe-1-29"])
+    def test_rounding_noise_bracket_exit_code(self, tmp_path, capsys, doc):
+        path = write(tmp_path, "noise.json", doc)
+        assert main(["classify", "--input", path]) == EXIT_NOT_CONTACT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_jacobi_violation_exit_code(self, tmp_path, capsys):
         path = write(

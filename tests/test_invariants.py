@@ -247,4 +247,4 @@ def test_single_builds_match_the_rebuild_chain(entries, rng):
         canon = canonical_frame(reeb)
         expected = _rebuild_chain_canonical_frame(expected_reeb)
         assert np.allclose(canon.constants, expected.constants, rtol=0, atol=1e-12)
-        assert _chi_positive_case(s, canon) == _chi_positive_case(s, expected)
+        assert _chi_positive_case(canon) == _chi_positive_case(expected)

@@ -145,7 +145,7 @@ class TestPsi:
     def test_injective_on_fundamental_domain(self):
         # Psi has a left inverse on the 50^3 grid, so no two grid points
         # share an image.
-        assert iso.psi_round_trip_gap(50) <= 1e-13
+        assert iso.psi_round_trip_gap() <= 1e-13
 
     @pytest.mark.parametrize("name", sorted(PSI_MUTANTS))
     def test_round_trip_catches_every_mutant(self, monkeypatch, name):
@@ -155,7 +155,7 @@ class TestPsi:
             return exact(rho, theta, phi, **PSI_MUTANTS[name])
 
         monkeypatch.setattr(iso, "psi_entries", mutant)
-        assert iso.psi_round_trip_gap(50) >= 1.0
+        assert iso.psi_round_trip_gap() >= 1.0
 
     def test_onto_sl2(self, rng):
         # Every sampled SL(2) matrix has a preimage in the domain, and Psi
@@ -288,6 +288,12 @@ class TestControlFlows:
             iso.integrate_chart([(0.1, 0.0, 0.0), (1e5, 0.0, 0.0)], 1.0, 100)
         assert err.value.step == 100
 
+    def test_infinite_z_inside_a_segment_raises_by_its_end(self):
+        # z reaches -inf on the first step; sin(-inf) on the second must not
+        # escape as a bare ValueError.
+        with pytest.raises(IntegrationBlowUpError, match="by step 10"):
+            iso.integrate_chart([(0.0, 0.0, 1e308)], 10.0, 10)
+
 
 class TestPushforward:
     def test_first_order_residual_scale(self):
@@ -386,13 +392,22 @@ class TestCertification:
         def nan_psi(rho, theta, phi):
             return tuple(np.full(np.shape(rho), np.nan) for _ in range(4))
 
-        assert not iso.quotient_check(range(-2, 3), psi=nan_psi)
-        rows = {r.name: r for r in iso.run_certification(samples=3, seed=11, psi=nan_psi)}
+        def zero_psi(rho, theta, phi):
+            return tuple(np.zeros(np.shape(rho)) for _ in range(4))
+
         psi_free = {"kernel_points", "matrix_commutators", "frame_commutators_fd",
                     "endpoint_map_roundtrip"}
+        assert not iso.quotient_check(range(-2, 3), psi=nan_psi)
+        rows = {r.name: r for r in iso.run_certification(samples=3, seed=11, psi=nan_psi)}
         assert {name for name, r in rows.items() if r.passed} == psi_free
         for name in rows.keys() - psi_free - {"kernel_centrality"}:
             assert math.isnan(rows[name].max_residual), name
+        # The zero map is singular everywhere.  Its step-doubling row passes,
+        # as for any wrong map: both flights miss by the same amount.
+        assert not iso.quotient_check(range(-2, 3), psi=zero_psi)
+        rows = {r.name: r for r in iso.run_certification(samples=3, seed=11, psi=zero_psi)}
+        assert {name for name, r in rows.items() if r.passed} == psi_free | {
+            "nagano_discretisation"}
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError, match="samples must be >= 0"):
