@@ -180,7 +180,10 @@ def _output_file(path: str):
 # --- report rendering ---------------------------------------------------------
 
 def render_json(value: Any) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON with floats at 17 significant digits.
+
+    JSON has no NaN or infinity, so a non-finite float renders as ``null``.
+    """
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -188,7 +191,7 @@ def render_json(value: Any) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+        return format(float(value), ".17g") if math.isfinite(value) else "null"
     if isinstance(value, str):
         import json
 

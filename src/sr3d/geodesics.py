@@ -18,14 +18,17 @@ g' = g M(h) is g times a matrix, linear in g, so the step from (g, h) ends
 at g P, where the propagator P is the same step from (identity, h): the
 split is the same RK4 map, to rounding.  A flight (:func:`integrate_geodesic`,
 :func:`_shoot_endpoint`) therefore (1) steps the autonomous covector
-subsystem alone on three Python floats, with the float operations of the
-coupled step, (2) builds every step's propagator in one call on numpy
-arrays (:func:`_array_rhs`), in blocks of ``_BLOCK`` steps, and (3)
-composes g_{n+1} = g_n P_n in step order, unit quaternions by the Hamilton
-product on Python floats, renormalized after every step.
-:func:`_rk4_step` is the package's one RK4 step; callers keep their own
-loops and checks.  :func:`vertical_rhs` alone holds the covector
-equations, on floats or arrays.  The shooting grid
+subsystem alone on three Python floats, its four RK4 stages written out in
+:func:`_split_flight` with the float operations of :func:`_rk4_step` in
+their order, so the covectors are the same to the bit, (2) builds every
+step's propagator in one call on numpy arrays (:func:`_array_rhs`), in
+blocks of ``_BLOCK`` steps, and (3) composes g_{n+1} = g_n P_n in step
+order, unit quaternions by the Hamilton product on Python floats,
+renormalized after every step.  :func:`_rk4_step` is the package's one RK4
+step on lists of floats or arrays; the written-out covector step is its
+one exception, since building lists for 3 floats costs more than the step.
+Callers keep their own loops and checks.  :func:`vertical_rhs` alone holds
+the covector equations, on floats or arrays.  The shooting grid
 (:func:`_batched_endpoints`) steps [g stack, h1, h2, h0] with the same
 array right-hand side, all of it in one unit-time batch: H is quadratic
 in the covector, so the flow from covector lam h over time 1 ends where
@@ -286,7 +289,9 @@ def _rk4_step(rhs, state, dt):
 
     ``state`` is a flat list whose entries are floats, or numpy arrays with
     one leading batch axis; ``rhs`` maps such a list to one of the same
-    layout.  Returns the new state without projecting or checking it.
+    layout.  Returns the new state without projecting or checking it.  The
+    one RK4 step for lists and arrays; :func:`_split_flight` writes the same
+    stages out on the covector's three floats.
     """
     half = 0.5 * dt
     k1 = rhs(state)
@@ -322,15 +327,20 @@ def _split_flight(model, frame, hs, gs, dt):
     steps (0.0 for matrices).  Non-finite values are carried, not checked.
     """
     steps = len(hs) - 1
-
-    def vertical(x):
-        return vertical_rhs(frame, *x)
-
-    h = hs[0].tolist()
+    # _rk4_step's stages and float operations, in its order, on (h1, h2, h0)
+    # held in three locals: no lists are built per step.
+    a, b, c = hs[0].tolist()
+    half, sixth = 0.5 * dt, dt / 6.0
     flat = array("d")
     for _ in range(steps):
-        h = _rk4_step(vertical, h, dt)
-        flat.extend(h)
+        k1a, k1b, k1c = vertical_rhs(frame, a, b, c)
+        k2a, k2b, k2c = vertical_rhs(frame, a + half * k1a, b + half * k1b, c + half * k1c)
+        k3a, k3b, k3c = vertical_rhs(frame, a + half * k2a, b + half * k2b, c + half * k2c)
+        k4a, k4b, k4c = vertical_rhs(frame, a + dt * k3a, b + dt * k3b, c + dt * k3c)
+        a = a + sixth * (k1a + 2 * k2a + 2 * k3a + k4a)
+        b = b + sixth * (k1b + 2 * k2b + 2 * k3b + k4b)
+        c = c + sixth * (k1c + 2 * k2c + 2 * k3c + k4c)
+        flat.extend((a, b, c))
     hs[1:] = np.frombuffer(flat).reshape(steps, 3)
     eye = np.broadcast_to(model.identity, (steps,) + model.identity.shape)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -460,7 +470,10 @@ def _shoot_steps(t: float) -> int:
     # tolerance for desk-scale times.  The grid flies every time as a
     # covector scale over unit time at _shoot_steps(1.0) steps: it only ranks
     # starts, and the refinement flies each start at its own t.
-    return max(40, int(math.ceil(80.0 * t)))
+    steps = 80.0 * float(t)
+    if not math.isfinite(steps):
+        raise ValueError(f"flight time must be finite and 80 t must not overflow; got {t!r}")
+    return max(40, int(math.ceil(steps)))
 
 
 def _shoot_endpoint(model, alpha, h0, t):
@@ -469,6 +482,7 @@ def _shoot_endpoint(model, alpha, h0, t):
 
     The finished state is checked once: a non-finite one raises
     :class:`IntegrationBlowUpError` (NaN and inf never turn finite again).
+    A time t for which 80 t is not finite raises ValueError.
     """
     steps = _shoot_steps(t)
     hs = np.empty((steps + 1, 3))

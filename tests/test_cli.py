@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -469,6 +470,16 @@ class TestSampleFiles:
         assert main(["classify", "--input", str(root / "aplus.json"), "--json"]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert data["kappa"] == -1.0
+
+
+def test_render_json_maps_non_finite_floats_to_null():
+    nan, inf = float("nan"), float("inf")
+    text = cli.render_json({"a": [nan, inf, -inf, 1.5], "b": np.float64(-inf)})
+    assert json.loads(text) == {"a": [None, None, None, 1.5], "b": None}
+    # Finite floats keep their 17-digit rendering.
+    assert cli.render_json([0.1, -2.5e-300, np.float64(1 / 3)]) == (
+        "[0.10000000000000001, -2.5e-300, 0.33333333333333331]"
+    )
 
 
 def test_only_a_refining_distance_query_imports_scipy():

@@ -1,13 +1,17 @@
+import dataclasses
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from sr3d import geodesics
-from sr3d.classify import catalog_entry
+from sr3d.classify import catalog, catalog_entry
 from sr3d.frames import reeb_frame, rotate_frame
 from sr3d.geodesics import (
     GeodesicState,
@@ -27,6 +31,7 @@ from sr3d.geodesics import (
     _rk4_step,
     _shoot_endpoint,
     _shoot_steps,
+    _split_flight,
 )
 from sr3d.isometry import matrix_to_apoint, psi_of_apoint
 
@@ -351,6 +356,28 @@ class TestPlainFloatStepAgainstNumpy:
         assert traj.max_group_defect <= 1e-8
 
 
+def test_written_out_covector_step_is_rk4_step_to_the_bit(models, rng):
+    # _split_flight writes _rk4_step's stages out on three floats; on every
+    # catalog frame, turned so that c12 != 0 occurs, the covectors must be
+    # _rk4_step's to the bit.  test_workload_size_flight is the long oracle.
+    model, steps, c12_seen = models["heisenberg"], 300, False
+    for entry in catalog():
+        for theta in rng.uniform(0.0, 2 * math.pi, 2):
+            frame = rotate_frame(reeb_frame(entry.structure), theta)
+            c12_seen |= frame.c12_1 != 0.0 or frame.c12_2 != 0.0
+            cov, dt = rng.uniform(-1.5, 1.5, 3), float(rng.uniform(0.5, 3.0)) / steps
+            hs = np.empty((steps + 1, 3))
+            gs = np.empty((steps + 1,) + model.identity.shape)
+            hs[0], gs[0] = cov, model.identity
+            _split_flight(model, frame, hs, gs, dt)
+            h, plain = cov.tolist(), [cov.tolist()]
+            for _ in range(steps):
+                h = _rk4_step(lambda x: vertical_rhs(frame, *x), h, dt)
+                plain.append(h)
+            assert np.array_equal(hs, np.array(plain)), (entry.name, theta)
+    assert c12_seen
+
+
 def test_integration_uses_the_frame_argument(models, rng):
     # a_plus_r is the model whose frame constants a rotation changes, so
     # propagators built from model.frame would leave the reference.
@@ -382,6 +409,31 @@ def test_blow_up_stops_within_one_block(models, monkeypatch):
         integrate_geodesic(model, model.frame, start(model, *cov), t_final, steps)
     assert got.value.step == want.value.step
     assert scalar_calls <= 4 * (got.value.step + _BLOCK)
+
+
+def test_flights_call_the_module_vertical_rhs(models, monkeypatch):
+    # vertical_rhs is the covector equations' one home and a mutation hook:
+    # a flight must call it through the module global, so flipping the sign
+    # of dh0 must move both the covectors and the endpoints.  On the four
+    # models' own frames dh0 is 0, so the flights use se2's frame, on which
+    # dh0 = -h1 h2.
+    frame = reeb_frame(catalog_entry("se2").structure)
+    model = dataclasses.replace(models["sl2"], frame=frame)
+    state = start(model, 0.8, 0.6, 0.7)
+
+    def flights():
+        traj = integrate_geodesic(model, frame, state, 2.0, 400)
+        return traj.covectors, traj.endpoint, _shoot_endpoint(model, 0.6, 0.7, 1.5)
+
+    before = flights()
+
+    def flipped(frame, h1, h2, h0):
+        dh1, dh2, dh0 = vertical_rhs(frame, h1, h2, h0)
+        return dh1, dh2, -dh0
+
+    monkeypatch.setattr(geodesics, "vertical_rhs", flipped)
+    for old, new in zip(before, flights()):
+        assert np.max(np.abs(old - new)) > 1e-3
 
 
 @pytest.mark.parametrize("mid", ["su2"])
@@ -751,3 +803,53 @@ class TestCsvExport:
         assert len(lines) == 12  # header + 11 samples
         first = lines[1].split(",")
         assert float(first[0]) == 0.0 and float(first[4]) == 1.0
+
+
+class TestNonFiniteFlights:
+    """No float input makes a flight return non-finite values silently, raise
+    an undocumented error or emit a RuntimeWarning."""
+
+    # All floats, so ±inf, NaN and 1e±308 among them, and those drawn often.
+    _ANY = st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-308])
+    # _shoot_endpoint flies ~80 t steps: a large finite t is a long flight,
+    # not a bad input, so its finite times stay small.
+    _TIME = st.floats(-4.0, 4.0) | st.sampled_from(
+        [math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-308]
+    )
+
+    @staticmethod
+    def _finite_or_documented(call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                result = call()
+            except (IntegrationBlowUpError, ValueError):
+                return
+        for x in result:
+            assert np.all(np.isfinite(x))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(mid=st.sampled_from(MODEL_IDS), h1=_ANY, h2=_ANY, h0=_ANY, t=_ANY)
+    def test_integrate_geodesic(self, models, mid, h1, h2, h0, t):
+        model = models[mid]
+
+        def fly():
+            traj = integrate_geodesic(model, model.frame, start(model, h1, h2, h0), t, 8)
+            return traj.covectors, traj.elements
+
+        self._finite_or_documented(fly)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(mid=st.sampled_from(MODEL_IDS), alpha=_ANY, h0=_ANY, t=_TIME)
+    def test_shoot_endpoint(self, models, mid, alpha, h0, t):
+        model = models[mid]
+        self._finite_or_documented(lambda: (_shoot_endpoint(model, alpha, h0, t),))
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, 1e308, math.nan])
+    def test_unflyable_time_is_a_value_error(self, models, t):
+        with pytest.raises(ValueError, match="flight time must be finite"):
+            _shoot_endpoint(models["sl2"], 0.3, 0.2, t)
+
+    def test_finite_times_keep_their_step_counts(self):
+        times = (-3.0, 0.0, 0.5, 0.51, 1.0, 2.0)
+        assert [_shoot_steps(t) for t in times] == [40, 40, 40, 41, 80, 160]
