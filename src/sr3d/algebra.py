@@ -33,8 +33,6 @@ SL2 = "sl(2)"
 SU2 = "su(2)"
 OTHER = "other"
 
-ALGEBRA_LABELS = (H3, A_PLUS_R, SE2, SH2, SOLV_PLUS, SOLV_MINUS, SL2, SU2, OTHER)
-
 
 def as_vector3(coeffs: Iterable[float]) -> Vector3:
     """Coerce to a finite float vector of length 3."""

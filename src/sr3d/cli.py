@@ -15,7 +15,6 @@ import math
 import os
 import reprlib
 import sys
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -233,21 +232,9 @@ def _human_scalar(value: Any) -> str:
     return str(value)
 
 
-@dataclass
-class Report:
-    """One result object; human text and machine JSON share the same values."""
-
-    data: Dict[str, Any]
-
-    def human(self) -> str:
-        return "\n".join(render_human(self.data))
-
-    def machine(self) -> str:
-        return render_json(self.data)
-
-    def emit(self, as_json: bool, stream=None) -> None:
-        stream = stream or sys.stdout
-        print(self.machine() if as_json else self.human(), file=stream)
+def _emit(data: Dict[str, Any], as_json: bool) -> None:
+    """Print one result object; human text and machine JSON share its values."""
+    print(render_json(data) if as_json else "\n".join(render_human(data)))
 
 
 # --- commands -----------------------------------------------------------------
@@ -291,7 +278,7 @@ def cmd_classify(args) -> int:
     }
     if label.isometry_class_id == "chi0.kappa-1" and label.algebra != SL2_ELLIPTIC:
         data["note"] = "locally isometric to sl_e(2) with the Killing metric"
-    Report(data).emit(args.json)
+    _emit(data, args.json)
     return EXIT_OK
 
 
@@ -301,17 +288,16 @@ def cmd_invariants(args) -> int:
     frame = reeb_frame(structure)
     chi, kappa = compute_chi(frame), compute_kappa(frame)
     inv = normalize(chi, kappa, frame.scale)
-    Report(
-        {
-            "name": name,
-            "raw_chi": chi,
-            "raw_kappa": kappa,
-            "dilation": inv.dilation,
-            "chi": inv.chi,
-            "kappa": inv.kappa,
-            "frame_constants": _frame_constants(frame),
-        }
-    ).emit(args.json)
+    data = {
+        "name": name,
+        "raw_chi": chi,
+        "raw_kappa": kappa,
+        "dilation": inv.dilation,
+        "chi": inv.chi,
+        "kappa": inv.kappa,
+        "frame_constants": _frame_constants(frame),
+    }
+    _emit(data, args.json)
     return EXIT_OK
 
 
@@ -328,7 +314,7 @@ def _entry_dict(entry: CatalogEntry) -> Dict[str, Any]:
 
 
 def cmd_catalog(args) -> int:
-    Report({"entries": [_entry_dict(e) for e in catalog()]}).emit(args.json)
+    _emit({"entries": [_entry_dict(e) for e in catalog()]}, args.json)
     return EXIT_OK
 
 
@@ -374,18 +360,17 @@ def cmd_geodesic(args) -> int:
         traj = integrate_geodesic(model, model.frame, initial, args.time, args.steps)
         if fh is not None:
             trajectory_to_csv(traj, fh)
-    Report(
-        {
-            "model": model.id,
-            "time": args.time,
-            "steps": args.steps,
-            "hamiltonian_drift": traj.hamiltonian_drift(),
-            "group_defect": traj.max_group_defect,
-            "final_covector": list(traj.final_covector),
-            "endpoint": traj.endpoint.tolist(),
-            "trajectory_csv": args.out or "not written",
-        }
-    ).emit(args.json)
+    data = {
+        "model": model.id,
+        "time": args.time,
+        "steps": args.steps,
+        "hamiltonian_drift": traj.hamiltonian_drift(),
+        "group_defect": traj.max_group_defect,
+        "final_covector": list(traj.final_covector),
+        "endpoint": traj.endpoint.tolist(),
+        "trajectory_csv": args.out or "not written",
+    }
+    _emit(data, args.json)
     return EXIT_OK
 
 
@@ -404,16 +389,15 @@ def cmd_distance(args) -> int:
         result = shoot_distance(model, target, budget=args.budget)
     except ValueError as exc:
         raise StructureParseError(str(exc)) from exc
-    Report(
-        {
-            "model": model.id,
-            "distance_estimate": result.distance,
-            "covector": list(result.covector),
-            "endpoint_error": result.endpoint_error,
-            "converged": result.converged,
-            "note": "heuristic shooting estimate; not a proof of optimality",
-        }
-    ).emit(args.json)
+    data = {
+        "model": model.id,
+        "distance_estimate": result.distance,
+        "covector": list(result.covector),
+        "endpoint_error": result.endpoint_error,
+        "converged": result.converged,
+        "note": "heuristic shooting estimate; not a proof of optimality",
+    }
+    _emit(data, args.json)
     return EXIT_OK if result.converged else EXIT_INTEGRATION
 
 
@@ -445,22 +429,21 @@ def cmd_certify_isometry(args) -> int:
 
     results = isometry.run_certification(samples=args.samples, seed=args.seed, psi=psi)
     if args.json:
-        Report(
-            {
-                "samples": args.samples,
-                "seed": args.seed,
-                "checks": [
-                    {
-                        "name": r.name,
-                        "samples": r.samples,
-                        "max_residual": r.max_residual,
-                        "tolerance": r.tolerance,
-                        "passed": r.passed,
-                    }
-                    for r in results
-                ],
-            }
-        ).emit(True)
+        data = {
+            "samples": args.samples,
+            "seed": args.seed,
+            "checks": [
+                {
+                    "name": r.name,
+                    "samples": r.samples,
+                    "max_residual": r.max_residual,
+                    "tolerance": r.tolerance,
+                    "passed": r.passed,
+                }
+                for r in results
+            ],
+        }
+        _emit(data, True)
     else:
         width = max(len(r.name) for r in results)
         print(f"{'check'.ljust(width)}  samples  max residual  tolerance  result")

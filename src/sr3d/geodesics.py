@@ -18,25 +18,23 @@ g' = g M(h) is g times a matrix, linear in g, so the step from (g, h) ends
 at g P, where the propagator P is the same step from (identity, h): the
 split is the same RK4 map, to rounding.  A flight (:func:`integrate_geodesic`,
 :func:`_shoot_endpoint`) therefore (1) steps the autonomous covector
-subsystem alone on three Python floats, its four RK4 stages written out in
-:func:`_split_flight` with the float operations of :func:`_rk4_step` in
-their order, so the covectors are the same to the bit, (2) builds every
-step's propagator in one call on numpy arrays (:func:`_array_rhs`), in
-blocks of ``_BLOCK`` steps, and (3) composes g_{n+1} = g_n P_n in step
-order, unit quaternions by the Hamilton product on Python floats,
-renormalized after every step.  :func:`_rk4_step` is the package's one RK4
-step on lists of floats or arrays; the written-out covector step is its
-one exception, since building lists for 3 floats costs more than the step.
-Callers keep their own loops and checks.  :func:`vertical_rhs` alone holds
-the covector equations, on floats or arrays.  The shooting grid
-(:func:`_batched_endpoints`) steps [g stack, h1, h2, h0] with the same
-array right-hand side, all of it in one unit-time batch: H is quadratic
-in the covector, so the flow from covector lam h over time 1 ends where
-the flow from h ends over time lam, and each grid time is flown as a
-covector scale.  A control flow g' = g M is linear, so n RK4 steps of a
-constant control are g -> g R(dt M)^n with RK4's stability function
-R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and :func:`integrate_controls`
-takes each segment's power by repeated squaring.
+subsystem alone on three Python floats, (2) builds every step's propagator
+in one call on numpy arrays (:func:`_array_rhs`), in blocks of ``_BLOCK``
+steps, and (3) composes g_{n+1} = g_n P_n in step order, unit quaternions
+by the Hamilton product on Python floats, renormalized after every step.
+Every three-float flow (this covector, the affine chart of
+:func:`sr3d.isometry.integrate_chart`) runs the one loop :func:`_rk4_floats`,
+its stages written out on three locals; arrays take the one step
+:func:`_rk4_step`, with the same float operations in the same order.
+:func:`vertical_rhs` alone holds the covector equations, on floats or
+arrays.  The shooting grid (:func:`_batched_endpoints`) steps
+[g stack, h1, h2, h0] with the same array right-hand side, all of it in one
+unit-time batch: H is quadratic in the covector, so the flow from covector
+lam h over time 1 ends where the flow from h ends over time lam, and each
+grid time is flown as a covector scale.  A control flow g' = g M is linear,
+so n RK4 steps of a constant control are g -> g R(dt M)^n with RK4's
+stability function R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and
+:func:`integrate_controls` takes each segment's power by repeated squaring.
 
 Four models are provided: the 3x3 unipotent realization of the Heisenberg
 group, the 3x3 affine realization of A+(R) x R, SL(2) as 2x2 matrices, and
@@ -287,11 +285,10 @@ class Trajectory:
 def _rk4_step(rhs, state, dt):
     """One classical RK4 step of x' = rhs(x).
 
-    ``state`` is a flat list whose entries are floats, or numpy arrays with
-    one leading batch axis; ``rhs`` maps such a list to one of the same
-    layout.  Returns the new state without projecting or checking it.  The
-    one RK4 step for lists and arrays; :func:`_split_flight` writes the same
-    stages out on the covector's three floats.
+    ``state`` is a flat list of numpy arrays with one leading batch axis;
+    ``rhs`` maps such a list to one of the same layout.  Returns the new
+    state without projecting or checking it; three-float flows run
+    :func:`_rk4_floats` instead.
     """
     half = 0.5 * dt
     k1 = rhs(state)
@@ -300,6 +297,25 @@ def _rk4_step(rhs, state, dt):
     k4 = rhs([x + dt * k for x, k in zip(state, k3)])
     sixth = dt / 6.0
     return [x + sixth * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
+
+
+def _rk4_floats(rhs, param, a, b, c, dt, steps):
+    """``steps`` RK4 steps of (a, b, c)' = rhs(param, a, b, c), every step's
+    state returned flat in one ``array("d")``.  :func:`_rk4_step`'s float
+    operations in its order, on three locals: no list is built per step, and
+    non-finite values are carried, not checked."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    flat = array("d")
+    for _ in range(steps):
+        k1a, k1b, k1c = rhs(param, a, b, c)
+        k2a, k2b, k2c = rhs(param, a + half * k1a, b + half * k1b, c + half * k1c)
+        k3a, k3b, k3c = rhs(param, a + half * k2a, b + half * k2b, c + half * k2c)
+        k4a, k4b, k4c = rhs(param, a + dt * k3a, b + dt * k3b, c + dt * k3c)
+        a = a + sixth * (k1a + 2 * k2a + 2 * k3a + k4a)
+        b = b + sixth * (k1b + 2 * k2b + 2 * k3b + k4b)
+        c = c + sixth * (k1c + 2 * k2c + 2 * k3c + k4c)
+        flat.extend((a, b, c))
+    return flat
 
 
 def _array_rhs(model, frame):
@@ -327,20 +343,7 @@ def _split_flight(model, frame, hs, gs, dt):
     steps (0.0 for matrices).  Non-finite values are carried, not checked.
     """
     steps = len(hs) - 1
-    # _rk4_step's stages and float operations, in its order, on (h1, h2, h0)
-    # held in three locals: no lists are built per step.
-    a, b, c = hs[0].tolist()
-    half, sixth = 0.5 * dt, dt / 6.0
-    flat = array("d")
-    for _ in range(steps):
-        k1a, k1b, k1c = vertical_rhs(frame, a, b, c)
-        k2a, k2b, k2c = vertical_rhs(frame, a + half * k1a, b + half * k1b, c + half * k1c)
-        k3a, k3b, k3c = vertical_rhs(frame, a + half * k2a, b + half * k2b, c + half * k2c)
-        k4a, k4b, k4c = vertical_rhs(frame, a + dt * k3a, b + dt * k3b, c + dt * k3c)
-        a = a + sixth * (k1a + 2 * k2a + 2 * k3a + k4a)
-        b = b + sixth * (k1b + 2 * k2b + 2 * k3b + k4b)
-        c = c + sixth * (k1c + 2 * k2c + 2 * k3c + k4c)
-        flat.extend((a, b, c))
+    flat = _rk4_floats(vertical_rhs, frame, *hs[0].tolist(), dt, steps)
     hs[1:] = np.frombuffer(flat).reshape(steps, 3)
     eye = np.broadcast_to(model.identity, (steps,) + model.identity.shape)
     with np.errstate(over="ignore", invalid="ignore"):

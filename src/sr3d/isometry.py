@@ -38,7 +38,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geodesics import (IntegrationBlowUpError, _rk4_step, build_model,
+from .geodesics import (IntegrationBlowUpError, _rk4_floats, build_model,
                         integrate_controls, sl2_basis)
 
 TWO_PI = 2.0 * math.pi
@@ -207,27 +207,34 @@ def psi_consistency(
 
 # --- control flows on both sides ----------------------------------------------
 
+def _chart_rhs(u, x, y, z):
+    """u1 fhat1 + u2 fhat2 + u0 f0 at (x, y, z), for the control u = (u1, u2, u0)."""
+    u1, u2, u0 = u
+    s, c = math.sin(z), math.cos(z)
+    return u1 * y * s - u2 * y * c, -u1 * y * c - u2 * y * s, -u1 * s + u2 * c - u0
+
+
 def integrate_chart(
     controls: Sequence[Tuple[float, float, float]],
     t_final: float,
     steps: int,
     start: APoint = IDENTITY_APOINT,
 ) -> APoint:
-    """RK4 flow of u1 fhat1 + u2 fhat2 + u0 f0 in (x, y, z); a segment that
-    ends non-finite raises :class:`IntegrationBlowUpError` "by" its last step,
-    as does one whose z turns infinite inside it."""
+    """RK4 flow of u1 fhat1 + u2 fhat2 + u0 f0 in (x, y, z), on three floats
+    by the covector's loop ``_rk4_floats``.  An empty schedule raises
+    ValueError; a segment that ends non-finite raises
+    :class:`IntegrationBlowUpError` "by" its last step, as does one whose z
+    turns infinite inside it."""
+    if len(controls) == 0:  # an array schedule has no truth value
+        raise ValueError("control schedule must be nonempty")
     state = [start.x, start.y, start.z]
     seg_steps = max(1, steps // len(controls))
-    dt = t_final / len(controls) / seg_steps
+    # Plain floats: numpy scalars step ~3x slower and warn on overflow.
+    dt = float(t_final) / len(controls) / seg_steps
     for segment, (u1, u2, u0) in enumerate(controls):
-        def rhs(p):
-            _, y, z = p
-            s, c = math.sin(z), math.cos(z)
-            return [u1 * y * s - u2 * y * c, -u1 * y * c - u2 * y * s, -u1 * s + u2 * c - u0]
-
+        u = (float(u1), float(u2), float(u0))
         try:
-            for _ in range(seg_steps):
-                state = _rk4_step(rhs, state, dt)
+            state = _rk4_floats(_chart_rhs, u, *state, dt, seg_steps)[-3:]
         except ValueError:  # math.sin of an infinite z
             state = [math.inf]
         if not all(map(math.isfinite, state)):

@@ -1,11 +1,14 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from sr3d.algebra import LieAlgebra3, bracket, change_basis, check_jacobi
 from sr3d.classify import catalog
 from sr3d.frames import SRStructure
+from sr3d.geodesics import IntegrationBlowUpError
 
 
 @pytest.fixture(scope="session")
@@ -89,3 +92,17 @@ def brute_force_jacobi_residual(algebra: LieAlgebra3) -> float:
                 )
                 worst = max(worst, float(np.max(np.abs(total))))
     return worst
+
+
+def finite_or_documented(call):
+    """Oracle of the non-finite input properties: ``call()`` returns values
+    that are all finite, or raises IntegrationBlowUpError or ValueError, and
+    emits no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            result = call()
+        except (IntegrationBlowUpError, ValueError):
+            return
+    for x in result:
+        assert np.all(np.isfinite(x))

@@ -2,7 +2,6 @@ import dataclasses
 import io
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +33,8 @@ from sr3d.geodesics import (
     _split_flight,
 )
 from sr3d.isometry import matrix_to_apoint, psi_of_apoint
+
+from conftest import finite_or_documented
 
 
 @pytest.fixture(scope="module")
@@ -817,17 +818,6 @@ class TestNonFiniteFlights:
         [math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-308]
     )
 
-    @staticmethod
-    def _finite_or_documented(call):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            try:
-                result = call()
-            except (IntegrationBlowUpError, ValueError):
-                return
-        for x in result:
-            assert np.all(np.isfinite(x))
-
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(mid=st.sampled_from(MODEL_IDS), h1=_ANY, h2=_ANY, h0=_ANY, t=_ANY)
     def test_integrate_geodesic(self, models, mid, h1, h2, h0, t):
@@ -837,13 +827,13 @@ class TestNonFiniteFlights:
             traj = integrate_geodesic(model, model.frame, start(model, h1, h2, h0), t, 8)
             return traj.covectors, traj.elements
 
-        self._finite_or_documented(fly)
+        finite_or_documented(fly)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(mid=st.sampled_from(MODEL_IDS), alpha=_ANY, h0=_ANY, t=_TIME)
     def test_shoot_endpoint(self, models, mid, alpha, h0, t):
         model = models[mid]
-        self._finite_or_documented(lambda: (_shoot_endpoint(model, alpha, h0, t),))
+        finite_or_documented(lambda: (_shoot_endpoint(model, alpha, h0, t),))
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, 1e308, math.nan])
     def test_unflyable_time_is_a_value_error(self, models, t):

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sr3d import isometry as iso
 from sr3d.cli import PSI_MUTANTS
-from sr3d.geodesics import IntegrationBlowUpError
+from sr3d.geodesics import IntegrationBlowUpError, _rk4_step
+
+from conftest import finite_or_documented
 
 PI = math.pi
 
@@ -242,7 +246,45 @@ def reference_sl2(controls, t_final, steps):
     return np.array(g).reshape(2, 2)
 
 
+def rk4_step_chart(controls, t_final, steps, start):
+    """Reference: the chart flight as _rk4_step on a list of three floats,
+    over one closure per segment."""
+    state = [start.x, start.y, start.z]
+    seg_steps = max(1, steps // len(controls))
+    dt = t_final / len(controls) / seg_steps
+    for u1, u2, u0 in controls:
+        def rhs(p):
+            _, y, z = p
+            s, c = math.sin(z), math.cos(z)
+            return [u1 * y * s - u2 * y * c, -u1 * y * c - u2 * y * s, -u1 * s + u2 * c - u0]
+
+        for _ in range(seg_steps):
+            state = _rk4_step(rhs, state, dt)
+    return state
+
+
 class TestControlFlows:
+    def test_chart_is_the_rk4_step_flight_to_the_bit(self, rng):
+        # Every Nagano schedule length, at both step counts of the
+        # certification, from the identity and from random starts.
+        for n_seg in (1, 2, 3, 4, 5, 3, 5):
+            schedule = [tuple(rng.uniform(-1, 1, size=3)) for _ in range(n_seg)]
+            for start in (iso.IDENTITY_APOINT, iso._random_apoint(rng)):
+                for steps in (iso.NAGANO_STEPS, iso.NAGANO_STEPS // 2):
+                    q = iso.integrate_chart(schedule, 1.0, steps, start=start)
+                    assert [q.x, q.y, q.z] == rk4_step_chart(schedule, 1.0, steps, start)
+            assert iso.integrate_chart(np.array(schedule), 1.0, steps, start=start) == q
+
+    def test_empty_schedule_is_a_value_error(self):
+        for flow in (lambda: iso.integrate_chart([], 1.0, 10),
+                     lambda: iso.integrate_sl2([], 1.0, 10),
+                     lambda: iso.nagano_check([], 1.0)):
+            with pytest.raises(ValueError, match="control schedule must be nonempty"):
+                flow()
+        # A control that is not a triple is bad input, not a blow-up.
+        with pytest.raises(ValueError):
+            iso.integrate_chart([(0.1, 0.2)], 1.0, 10)
+
     def test_flows_match_written_out_stages(self, rng):
         for _ in range(8):
             n_seg = int(rng.integers(1, 6))
@@ -293,6 +335,34 @@ class TestControlFlows:
         # escape as a bare ValueError.
         with pytest.raises(IntegrationBlowUpError, match="by step 10"):
             iso.integrate_chart([(0.0, 0.0, 1e308)], 10.0, 10)
+
+
+class TestNonFiniteChart:
+    """No float input makes the chart flow or the Nagano residual return a
+    non-finite value, raise an undocumented error or emit a RuntimeWarning."""
+
+    # All floats, so ±inf, NaN and 1e±308 among them and drawn often, and
+    # moderate ones, so that some flights end finite.
+    _ANY = st.floats(-4.0, 4.0) | st.floats() | st.sampled_from(
+        [math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-308]
+    )
+    _CONTROLS = st.lists(st.tuples(_ANY, _ANY, _ANY), min_size=1, max_size=3)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    # y < 0 is the chart's half-space; a start outside it is a ValueError,
+    # so y is drawn there, its specials kept, to fly more starts.
+    @given(controls=_CONTROLS, t=_ANY, x=_ANY, y=_ANY.map(lambda v: -abs(v)), z=_ANY)
+    def test_integrate_chart(self, controls, t, x, y, z):
+        def fly():
+            q = iso.integrate_chart(controls, t, 12, start=iso.APoint(x, y, z))
+            return q.x, q.y, q.z
+
+        finite_or_documented(fly)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(controls=_CONTROLS, t=_ANY)
+    def test_nagano_check(self, controls, t):
+        finite_or_documented(lambda: (iso.nagano_check(controls, t, 24),))
 
 
 class TestPushforward:
