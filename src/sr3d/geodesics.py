@@ -16,25 +16,29 @@ convergence is directly testable.
 The coupled RK4 step is taken in three stages.  Each stage slope of
 g' = g M(h) is g times a matrix, linear in g, so the step from (g, h) ends
 at g P, where the propagator P is the same step from (identity, h): the
-split is the same RK4 map, to rounding.  A flight (:func:`integrate_geodesic`,
-:func:`_shoot_endpoint`) therefore (1) steps the autonomous covector
-subsystem alone on three Python floats, (2) builds every step's propagator
-in one call on numpy arrays (:func:`_array_rhs`), in blocks of ``_BLOCK``
-steps, and (3) composes g_{n+1} = g_n P_n in step order, unit quaternions
-by the Hamilton product on Python floats, renormalized after every step.
-Every three-float flow (this covector, the affine chart of
-:func:`sr3d.isometry.integrate_chart`) runs the one loop :func:`_rk4_floats`,
-its stages written out on three locals; arrays take the one step
-:func:`_rk4_step`, with the same float operations in the same order.
-:func:`vertical_rhs` alone holds the covector equations, on floats or
-arrays.  The shooting grid (:func:`_batched_endpoints`) steps
-[g stack, h1, h2, h0] with the same array right-hand side, all of it in one
-unit-time batch: H is quadratic in the covector, so the flow from covector
-lam h over time 1 ends where the flow from h ends over time lam, and each
-grid time is flown as a covector scale.  A control flow g' = g M is linear,
-so n RK4 steps of a constant control are g -> g R(dt M)^n with RK4's
-stability function R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and
+split is the same RK4 map, to rounding.  A flight (:func:`integrate_geodesic`)
+therefore (1) steps the autonomous covector subsystem alone on three Python
+floats, (2) builds every step's propagator in one call on numpy arrays
+(:func:`_array_rhs`), in blocks of ``_BLOCK`` steps, and (3) composes
+g_{n+1} = g_n P_n in step order, unit quaternions by the Hamilton product on
+Python floats, renormalized after every step.  Every three-float flow (this
+covector, the affine chart of :func:`sr3d.isometry.integrate_chart`) runs
+the one loop :func:`_rk4_floats`, its stages written out on three locals;
+arrays take the one step :func:`_rk4_step`, with the same float operations
+in the same order.  :func:`vertical_rhs` alone holds the covector
+equations, on floats or arrays.  A control flow g' = g M is linear, so n RK4
+steps of a constant control are g -> g R(dt M)^n with RK4's stability
+function R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and
 :func:`integrate_controls` takes each segment's power by repeated squaring.
+
+Shooting flies no RK4.  The four models are the chi = 0 classes, whose
+normal geodesics have closed forms built on :meth:`GroupModel.exp`; the
+exact endpoint map :func:`_geodesic_ends` broadcasts over arrays and serves
+both the shooting grid (:func:`_batched_endpoints`) and the refinement's
+single endpoints (:func:`_shoot_endpoint`).  The grid is one unit-time
+batch: H is quadratic in the covector, so the flow from covector lam h over
+time 1 ends where the flow from h ends over time lam, and each grid time is
+a covector scale, evaluated as the unit covector's map at time lam.
 
 Four models are provided: the 3x3 unipotent realization of the Heisenberg
 group, the 3x3 affine realization of A+(R) x R, SL(2) as 2x2 matrices, and
@@ -51,6 +55,7 @@ module attribute ``minimize``.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -97,6 +102,12 @@ def _hamilton(w1, x1, y1, z1, w2, x2, y2, z2):
     )
 
 
+def _over(num, x):
+    """num / x, read as 1 where x = 0: num is sin x, sinh x or expm1 x."""
+    x = np.asarray(x, dtype=float)
+    return np.divide(num, x, out=np.ones_like(x), where=x != 0)
+
+
 def quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Hamilton product of quaternions stored as (w, x, y, z) on the last axis."""
     return np.array(_hamilton(*np.asarray(p).T, *np.asarray(q).T)).T
@@ -136,6 +147,38 @@ class GroupModel:
 
     def combo(self, u1: float, u2: float, u0: float) -> np.ndarray:
         return u1 * self.a1 + u2 * self.a2 + u0 * self.a0
+
+    def exp(self, u1, u2, u0) -> np.ndarray:
+        """exp(u1 A1 + u2 A2 + u0 A0) in closed form.
+
+        The coefficients broadcast to a shape S; the result has shape
+        S + ``identity.shape``.  Non-finite values are carried, not checked,
+        and raise no warning.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = sum(np.multiply.outer(u, a)
+                    for u, a in ((u1, self.a1), (u2, self.a2), (u0, self.a0)))
+            if self.id == "heisenberg":  # M is nilpotent: M^3 = 0
+                return self.identity + m + 0.5 * (m @ m)
+            if self.id == "a_plus_r":  # M = [[a, 0, b], [0, 0, c], [0, 0, 0]]
+                a = m[..., 0, 0]
+                g = self.identity + m
+                g[..., 0, 0] = np.exp(a)
+                g[..., 0, 2] *= _over(np.expm1(a), a)
+                return g
+            if self.kind == "quaternion":  # M = (0, v): exp = (cos |v|, sin |v| v / |v|)
+                r = np.sqrt(np.sum(m * m, axis=-1))
+                g = _over(np.sin(r), r)[..., None] * m
+                g[..., 0] = np.cos(r)
+                return g
+            # sl2: M^2 = q I with q = -det M, so exp M = cosh(s) I + sinh(s)/s M
+            # for s^2 = q, read as cos and sin of sqrt(-q) when q < 0.
+            q = m[..., 0, 0] * m[..., 0, 0] + m[..., 0, 1] * m[..., 1, 0]
+            s = np.sqrt(np.abs(q))
+            hyperbolic = q > 0
+            c = np.where(hyperbolic, np.cosh(s), np.cos(s))
+            d = _over(np.where(hyperbolic, np.sinh(s), np.sin(s)), s)
+            return c[..., None, None] * self.identity + d[..., None, None] * m
 
     def group_defect(self, g: np.ndarray) -> float:
         """Largest distance from the model's group manifold over ``g`` or a
@@ -429,8 +472,8 @@ def integrate_controls(
     seg_t = t_final / len(controls)
     g = model.identity
     for segment, (u1, u2, u0) in enumerate(controls):
-        z = (seg_t / seg_steps) * model.combo(u1, u2, u0)
         with np.errstate(over="ignore", invalid="ignore"):
+            z = (seg_t / seg_steps) * model.combo(u1, u2, u0)
             q = z + model.mul(z, z / 2.0 + model.mul(z, z / 6.0 + model.mul(z, z / 24.0)))
             if not np.all(np.isfinite(q)):
                 raise IntegrationBlowUpError(segment * seg_steps + 1)
@@ -469,57 +512,105 @@ _GRID_H0_MAX = 3.0
 
 
 def _shoot_steps(t: float) -> int:
-    # Order-4 steps: error ~ (1/80)^4 * t stays two decades under the hit
-    # tolerance for desk-scale times.  The grid flies every time as a
-    # covector scale over unit time at _shoot_steps(1.0) steps: it only ranks
-    # starts, and the refinement flies each start at its own t.
+    # Validates a shooting time t and numbers blow-ups: a non-finite endpoint
+    # is reported "by" this step, 80 per unit time.  Shooting flies no RK4.
     steps = 80.0 * float(t)
     if not math.isfinite(steps):
         raise ValueError(f"flight time must be finite and 80 t must not overflow; got {t!r}")
     return max(40, int(math.ceil(steps)))
 
 
-def _shoot_endpoint(model, alpha, h0, t):
-    """Endpoint only, for use inside optimizers: one :func:`_split_flight`
-    of ``_shoot_steps(t)`` steps, fewer than ``_BLOCK``.
+@functools.cache
+def _sl2_model() -> GroupModel:
+    # Built on first use, not at import: building reads SR3D_TOL.
+    return build_model("sl2")
 
-    The finished state is checked once: a non-finite one raises
-    :class:`IntegrationBlowUpError` (NaN and inf never turn finite again).
-    A time t for which 80 t is not finite raises ValueError.
+
+def _geodesic_ends(model, alphas, h0s, t):
+    """Exact endpoints at time t of the normal geodesics from the identity
+    with covectors (cos alpha, sin alpha, h0); the arguments broadcast to a
+    shape S and the result has shape S + ``identity.shape``.  Non-finite
+    values are carried, not checked, and raise no warning.
+
+    The models are the chi = 0 classes, whose geodesics have closed forms
+    (Boscain and Rossi, SIAM J. Control Optim. 47, 2008):
+
+    * ``sl2`` and ``su2`` (kappa = -1 and +1): g = exp(t (h1 A1 + h2 A2 +
+      kappa h0 A0)) exp(-kappa t h0 A0);
+    * ``heisenberg``: the Magnus series ends at second order, g = exp(I1 A1
+      + I2 A2 + t^2 xi(h0 t) / 2 A0) with x = h0 t, I1 = t (h1 sinc x + h2
+      c(x)), I2 = t (h2 sinc x - h1 c(x)), c(x) = (1 - cos x) / x computed as
+      sin(x/2) sinc(x/2), and xi(x) = (x - sin x) / x^2;
+    * ``a_plus_r``: Psi carries its geodesics onto sl2's with the same
+      covector, so the endpoint is Psi^-1 of the ``sl2`` one:
+      x = rho sin theta, y = -rho cos theta, z = 2 phi.  phi is lifted from
+      the principal branch by ``np.unwrap`` over samples of the same map
+      spaced under pi apart in time: |z'| <= |(h1, h2)| = 1, so phi moves
+      under pi / 2 between samples, and one sample does for |t| < pi.
+    """
+    with np.errstate(all="ignore"):
+        t = np.asarray(t, dtype=float)
+        h1, h2, h0 = np.cos(alphas), np.sin(alphas), np.asarray(h0s, dtype=float)
+        if model.id == "heisenberg":
+            x = h0 * t
+            sinc, half = _over(np.sin(x), x), 0.5 * x
+            c = np.sin(half) * _over(np.sin(half), half)
+            # xi(x) from its series below |x| = 0.1, where x - sin x would
+            # cancel; the first omitted term is under 3e-17.
+            x2 = x * x
+            xi = np.where(np.abs(x) < 0.1,
+                          x * (1 / 6 - x2 * (1 / 120 - x2 * (1 / 5040 - x2 / 362880))),
+                          (x - np.sin(x)) / x2)
+            return model.exp(t * (h1 * sinc + h2 * c), t * (h2 * sinc - h1 * c), 0.5 * t * t * xi)
+        if model.id == "a_plus_r":
+            from .isometry import psi_inverse  # isometry imports this module
+
+            samples = int(np.max(np.abs(t), where=np.isfinite(t), initial=0.0) / math.pi) + 1
+            shape = np.broadcast_shapes(np.shape(alphas), h0.shape, t.shape)
+            ts = np.multiply.outer(np.arange(1, samples + 1) / samples, np.broadcast_to(t, shape))
+            g = _geodesic_ends(_sl2_model(), alphas, h0s, ts)
+            rho, theta, phi = psi_inverse(g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1])
+            if samples > 1:
+                phi = np.unwrap(np.concatenate([np.zeros((1,) + shape), phi]), axis=0)
+            phi = phi[-1]
+            ends = np.zeros(phi.shape + (3, 3))
+            rho, theta = rho[-1], theta[-1]
+            ends[..., 0, 0], ends[..., 0, 2] = rho * np.cos(theta), rho * np.sin(theta)
+            ends[..., 1, 1], ends[..., 1, 2], ends[..., 2, 2] = 1.0, 2.0 * phi, 1.0
+            return ends
+        kappa = -1.0 if model.id == "sl2" else 1.0
+        turn = kappa * t * h0
+        return model.mul(model.exp(t * h1, t * h2, turn), model.exp(0.0, 0.0, -turn))
+
+
+def _shoot_endpoint(model, alpha, h0, t):
+    """Endpoint only, for use inside optimizers: the exact map
+    :func:`_geodesic_ends` at one covector (cos alpha, sin alpha, h0).
+
+    A non-finite endpoint raises :class:`IntegrationBlowUpError` "by"
+    ``_shoot_steps(t)``; a time t for which 80 t is not finite raises
+    ValueError.
     """
     steps = _shoot_steps(t)
-    hs = np.empty((steps + 1, 3))
-    gs = np.empty((steps + 1,) + model.identity.shape)
-    hs[0] = math.cos(alpha), math.sin(alpha), float(h0)
-    gs[0] = model.identity
-    _split_flight(model, model.frame, hs, gs, float(t) / steps)
-    if not (np.all(np.isfinite(hs[-1])) and np.all(np.isfinite(gs[-1]))):
+    end = _geodesic_ends(model, alpha, h0, float(t))
+    if not np.all(np.isfinite(end)):
         raise IntegrationBlowUpError(steps, "by")
-    return gs[-1]
+    return end
 
 
 def _batched_endpoints(model, alphas, h0s, t, scale=1.0):
     """Endpoints at a common time t for a batch of covectors
     scale * (cos alpha, sin alpha, h0), ``scale`` a scalar or one per path.
 
-    The finished state is checked once, as in :func:`_shoot_endpoint`: a
-    non-finite one raises :class:`IntegrationBlowUpError`.
+    H is quadratic in the covector, so each path is the unit covector's
+    exact map (:func:`_geodesic_ends`) at time scale * t.  The endpoints are
+    checked as in :func:`_shoot_endpoint`.
     """
-    g = np.tile(model.identity, (np.size(alphas),) + (1,) * model.identity.ndim)
-    h0s = np.asarray(h0s, dtype=float)
-    state = [g, scale * np.cos(alphas), scale * np.sin(alphas), scale * h0s]
-    quaternion = model.kind == "quaternion"
-    rhs = _array_rhs(model, model.frame)
     steps = _shoot_steps(t)
-    dt = t / steps
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            state = _rk4_step(rhs, state, dt)
-            if quaternion:
-                state[0] = state[0] / np.linalg.norm(state[0], axis=1, keepdims=True)
-    if not all(np.all(np.isfinite(x)) for x in state):
+    ends = _geodesic_ends(model, alphas, h0s, np.multiply(scale, t))
+    if not np.all(np.isfinite(ends)):
         raise IntegrationBlowUpError(steps, "by")
-    return state[0]
+    return ends
 
 
 def _levenberg_marquardt(fun, x0, args=(), maxiter=200, **_):
@@ -594,14 +685,15 @@ def shoot_distance(
     """Estimate the path-length distance from the identity to ``target``.
 
     Initial covectors are arc-length normalized (h1^2 + h2^2 = 1, free h0)
-    so the time of flight is the candidate length.  A coarse deterministic
-    grid over (direction angle, h0, t) is evaluated as one unit-time batch
-    by the scaling law: each t is a covector scale, since the flow from
-    t (cos alpha, sin alpha, h0) over time 1 ends where the unit covector's
-    flow ends over time t.  Its three best points are refined by
+    so the time of flight is the candidate length.  Every endpoint comes
+    from the exact map :func:`_geodesic_ends`; no RK4 is flown.  A coarse
+    deterministic grid over (direction angle, h0, t) is evaluated as one
+    unit-time batch by the scaling law: each t is a covector scale, since the
+    flow from t (cos alpha, sin alpha, h0) over time 1 ends where the unit
+    covector's flow ends over time t.  Its three best points are refined by
     Levenberg-Marquardt on the endpoint residual (:func:`_levenberg_marquardt`,
     at most ``budget`` iterations of 3 Jacobian endpoint evaluations plus
-    one per trial step), each flown at its own t.  Returns the
+    one per trial step), each evaluated at its own t.  Returns the
     shortest refined hit whose endpoint error is below 1e-6, else the best
     found with its error.  Candidates are reduced in grid-index order, so
     the result is schedule-independent.

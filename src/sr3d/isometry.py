@@ -31,14 +31,13 @@ certifies that Psi is injective there.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geodesics import (IntegrationBlowUpError, _rk4_floats, build_model,
+from .geodesics import (IntegrationBlowUpError, _rk4_floats, _sl2_model,
                         integrate_controls, sl2_basis)
 
 TWO_PI = 2.0 * math.pi
@@ -240,12 +239,6 @@ def integrate_chart(
         if not all(map(math.isfinite, state)):
             raise IntegrationBlowUpError((segment + 1) * seg_steps, "by")
     return APoint(*state)
-
-
-# Built on first use, not at import: building reads SR3D_TOL.
-@functools.cache
-def _sl2_model():
-    return build_model("sl2")
 
 
 def integrate_sl2(

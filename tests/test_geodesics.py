@@ -27,6 +27,7 @@ from sr3d.geodesics import (
 from sr3d.geodesics import (
     _BLOCK,
     _batched_endpoints,
+    _geodesic_ends,
     _rk4_step,
     _shoot_endpoint,
     _shoot_steps,
@@ -284,6 +285,28 @@ def generic_covectors(rng, n):
     ]
 
 
+@pytest.fixture(scope="module")
+def rk4_ends(models):
+    """Per model, (alpha, h0, t, endpoint) for 16000-step RK4 flights of the
+    covector (cos alpha, sin alpha, h0), at h0 = 0, 1e-9, 0.03 (|h0 t| in
+    the heisenberg map's series range) and U(-3, 3)."""
+    rng = np.random.default_rng(16000)
+    out = {}
+    for mid, model in models.items():
+        out[mid] = []
+        for h0 in (0.0, 1e-9, 0.03, float(rng.uniform(-3.0, 3.0))):
+            alpha, t = float(rng.uniform(0.0, 2 * math.pi)), float(rng.uniform(0.15, 2.0))
+            cov = start(model, math.cos(alpha), math.sin(alpha), h0)
+            end = integrate_geodesic(model, model.frame, cov, t, 16000).endpoint
+            out[mid].append((alpha, h0, t, end))
+    return out
+
+
+def map_rk4_gap(cases, ends):
+    """Largest gap between ``ends(alpha, h0, t)`` and the RK4 endpoints."""
+    return max(float(np.max(np.abs(ends(a, h0, t) - end))) for a, h0, t, end in cases)
+
+
 @pytest.mark.parametrize("mid", MODEL_IDS)
 class TestPlainFloatStepAgainstNumpy:
     def test_integrate_geodesic(self, models, rng, mid):
@@ -295,16 +318,15 @@ class TestPlainFloatStepAgainstNumpy:
             assert np.max(np.abs(traj.elements - elements)) <= 1e-13
             assert abs(traj.max_group_defect - defect) <= 1e-13
 
-    def test_shoot_endpoint(self, models, rng, mid):
+    def test_shoot_endpoint(self, models, rk4_ends, mid):
+        # _shoot_endpoint is the exact map, and the map is 16000-step RK4 to
+        # its rounding.
         model = models[mid]
-        for cov, t in zip(generic_covectors(rng, 4), rng.uniform(0.2, 2.0, 4)):
-            alpha = math.atan2(cov[1], cov[0])
-            _, elements, _ = numpy_rk4(
-                model, model.frame, cov, float(t), _shoot_steps(float(t))
-            )
-            got = _shoot_endpoint(model, alpha, cov[2], t)
+        for alpha, h0, t, _ in rk4_ends[mid]:
+            got = _shoot_endpoint(model, alpha, h0, t)
             assert got.shape == model.identity.shape
-            assert np.max(np.abs(got - elements[-1])) <= 1e-13
+            assert np.array_equal(got, _geodesic_ends(model, alpha, h0, t))
+        assert map_rk4_gap(rk4_ends[mid], lambda a, h0, t: _geodesic_ends(model, a, h0, t)) <= 1e-11
 
     def test_batched_grid_matches_single_paths(self, models, rng, mid):
         model = models[mid]
@@ -314,15 +336,16 @@ class TestPlainFloatStepAgainstNumpy:
         for k in range(5):
             single = _shoot_endpoint(model, alphas[k], h0s[k], 0.7)
             assert np.max(np.abs(ends[k] - single)) <= 1e-13
-        # Per-path scale: path k flies the covector ts[k] (cos a, sin a, h0).
+        # Per-path scale: path k flies the covector ts[k] (cos a, sin a, h0),
+        # which ends where the unit covector's flow ends at time ts[k].
         ts = rng.uniform(0.15, 2.0, 5)
         ends = _batched_endpoints(model, alphas, h0s, 1.0, scale=ts)
         for k in range(5):
+            single = _shoot_endpoint(model, alphas[k], h0s[k], ts[k])
+            assert np.max(np.abs(ends[k] - single)) <= 1e-13
             cov = ts[k] * np.array([math.cos(alphas[k]), math.sin(alphas[k]), h0s[k]])
-            single = integrate_geodesic(
-                model, model.frame, start(model, *cov), 1.0, _shoot_steps(1.0)
-            ).endpoint
-            assert np.max(np.abs(ends[k] - single)) <= 1e-12
+            flown = integrate_geodesic(model, model.frame, start(model, *cov), 1.0, 2000)
+            assert np.max(np.abs(ends[k] - flown.endpoint)) <= 1e-11
 
     def test_scaling_law_at_equal_steps(self, models, rng, mid):
         # H is quadratic in the covector, so flying t h over time 1 is flying
@@ -355,6 +378,81 @@ class TestPlainFloatStepAgainstNumpy:
         assert np.max(np.abs(traj.elements - elements)) <= 1e-12 * scale
         assert traj.hamiltonian_drift() <= 1e-9
         assert traj.max_group_defect <= 1e-8
+
+
+class TestExactMaps:
+    """GroupModel.exp and the endpoint map against oracles that share no
+    code with them: scipy's expm, and RK4 flights of the coupled system."""
+
+    # expm itself is off by up to 5e-14 on a_plus_r's generators, against
+    # 40-digit arithmetic; on the other models it keeps to rounding.
+    @pytest.mark.parametrize("mid, tol", [("heisenberg", 1e-14), ("a_plus_r", 1e-13),
+                                          ("sl2", 1e-14), ("su2", 1e-14)])
+    def test_exp_matches_expm(self, models, rng, mid, tol):
+        model = models[mid]
+        u = rng.uniform(-2.0, 2.0, (40, 3))
+        u[:4] = [(0.0, 0.0, 0.0), (1e-9, 0.0, 0.0), (0.0, 0.0, 1e-9), (0.0, 1.0, 1.0)]
+        got = model.exp(u[:, 0], u[:, 1], u[:, 2])
+        assert got.shape == (40,) + model.identity.shape
+        for row, g in zip(u, got):
+            m = model.combo(*row)
+            if model.kind == "quaternion":
+                # exp of left multiplication by m, applied to 1.
+                want = expm(np.array([quat_mul(m, e) for e in np.eye(4)]).T)[:, 0]
+            else:
+                want = expm(m)
+            assert np.max(np.abs(g - want)) <= tol * max(1.0, np.max(np.abs(want))), row
+
+    @pytest.mark.parametrize(
+        "mid,cov",
+        [("heisenberg", (1, 0, 1)), ("a_plus_r", (0.8, 0.6, 0.7)),
+         ("sl2", (0.8, 0.6, 0.7)), ("su2", (0.8, 0.6, 0.7))],
+    )
+    def test_rk4_error_against_the_map_is_order_four(self, models, mid, cov):
+        model = models[mid]
+        exact = _geodesic_ends(model, math.atan2(cov[1], cov[0]), cov[2], 5.0)
+
+        def error(n):
+            traj = integrate_geodesic(model, model.frame, start(model, *cov), 5.0, n)
+            return np.linalg.norm(traj.endpoint - exact)
+
+        assert 16.0 * 0.8 <= error(100) / error(200) <= 16.0 * 1.2
+
+    def test_a_plus_r_map_unwraps_z_past_two_pi(self, models):
+        # z = 2 phi leaves Psi's principal branch: RK4 ends at z = -8.114,
+        # where the principal phi would give z = 4.452.
+        model = models["a_plus_r"]
+        flown = integrate_geodesic(model, model.frame, start(model, 0.0, 1.0, 0.9), 12.0, 16000)
+        assert flown.endpoint[1, 2] < -2 * math.pi
+        got = _geodesic_ends(model, math.pi / 2, 0.9, 12.0)
+        assert np.max(np.abs(got - flown.endpoint)) <= 1e-10
+        # In a batch, each path is unwrapped over samples of its own time.
+        batch = _geodesic_ends(model, math.pi / 2, [0.9, 0.9, -0.4], [0.5, 12.0, -9.0])
+        for k, (h0, t) in enumerate([(0.9, 0.5), (0.9, 12.0), (-0.4, -9.0)]):
+            assert np.max(np.abs(batch[k] - _geodesic_ends(model, math.pi / 2, h0, t))) <= 1e-13
+
+    def test_sign_flips_fail_the_rk4_check(self, models, rk4_ends):
+        # test_shoot_endpoint's RK4 check rejects the sl2 and su2 maps with
+        # kappa's sign flipped, and the heisenberg map with its second-order
+        # Magnus term flipped.
+        for mid, flipped_kappa in (("sl2", 1.0), ("su2", -1.0)):
+            model = models[mid]
+
+            def flipped(a, h0, t):
+                first = model.exp(t * math.cos(a), t * math.sin(a), flipped_kappa * t * h0)
+                return model.mul(first, model.exp(0.0, 0.0, -flipped_kappa * t * h0))
+
+            assert map_rk4_gap(rk4_ends[mid], flipped) > 1e-3, mid
+        model = models["heisenberg"]
+
+        def flipped_magnus(a, h0, t):
+            # g = I + W + W^2 / 2 for W = [[0, I2, w], [0, 0, I1], [0, 0, 0]],
+            # so g02 = w + I1 I2 / 2; negate w.
+            g = _geodesic_ends(model, a, h0, t).copy()
+            g[0, 2] = g[0, 1] * g[1, 2] - g[0, 2]
+            return g
+
+        assert map_rk4_gap(rk4_ends["heisenberg"], flipped_magnus) > 1e-3
 
 
 def test_written_out_covector_step_is_rk4_step_to_the_bit(models, rng):
@@ -424,7 +522,7 @@ def test_flights_call_the_module_vertical_rhs(models, monkeypatch):
 
     def flights():
         traj = integrate_geodesic(model, frame, state, 2.0, 400)
-        return traj.covectors, traj.endpoint, _shoot_endpoint(model, 0.6, 0.7, 1.5)
+        return traj.covectors, traj.endpoint
 
     before = flights()
 
@@ -843,3 +941,28 @@ class TestNonFiniteFlights:
     def test_finite_times_keep_their_step_counts(self):
         times = (-3.0, 0.0, 0.5, 0.51, 1.0, 2.0)
         assert [_shoot_steps(t) for t in times] == [40, 40, 40, 41, 80, 160]
+
+    _CONTROLS = st.lists(st.tuples(*[st.floats(-4.0, 4.0) | _ANY] * 3), min_size=1, max_size=3)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(mid=st.sampled_from(MODEL_IDS), controls=_CONTROLS, t=_ANY, steps=st.integers(1, 40))
+    def test_integrate_controls(self, models, mid, controls, t, steps):
+        finite_or_documented(lambda: (integrate_controls(models[mid], controls, t, steps),))
+
+    # Targets: entries with the specials, and finite ones far from the
+    # identity, where a small budget keeps the refinement short.
+    _ENTRY = _ANY | st.floats(-1e3, 1e3)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(mid=st.sampled_from(MODEL_IDS), entries=st.lists(_ENTRY, min_size=9, max_size=9),
+           budget=st.integers(1, 3))
+    def test_shoot_distance(self, models, mid, entries, budget):
+        model = models[mid]
+        target = np.reshape(entries[: model.identity.size], model.identity.shape)
+
+        def shoot():
+            result = shoot_distance(model, target, budget=budget)
+            assert isinstance(result, geodesics.ShootingResult)
+            return ()
+
+        finite_or_documented(shoot)
