@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import math
 import os
 import reprlib
@@ -381,7 +382,7 @@ def cmd_distance(args) -> int:
     if args.target:
         try:
             target = np.asarray(json.loads(args.target), dtype=float)
-        except (ValueError, OverflowError, RecursionError) as exc:
+        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise StructureParseError(f"bad --target: {exc}") from exc
     else:
         target = model.identity
@@ -432,16 +433,7 @@ def cmd_certify_isometry(args) -> int:
         data = {
             "samples": args.samples,
             "seed": args.seed,
-            "checks": [
-                {
-                    "name": r.name,
-                    "samples": r.samples,
-                    "max_residual": r.max_residual,
-                    "tolerance": r.tolerance,
-                    "passed": r.passed,
-                }
-                for r in results
-            ],
+            "checks": [dataclasses.asdict(r) for r in results],
         }
         _emit(data, True)
     else:

@@ -45,11 +45,7 @@ group, the 3x3 affine realization of A+(R) x R, SL(2) as 2x2 matrices, and
 SU(2) as unit quaternions (kept in real arithmetic on purpose).
 
 :func:`shoot_distance` refines its best grid starts by Levenberg-Marquardt
-on the endpoint residual (:func:`_levenberg_marquardt`), passed as a custom
-method to ``scipy.optimize.minimize``.  Importing this module does not
-import scipy: ``minimize`` is loaded the first time :func:`shoot_distance`
-refines a start, or ``geodesics.minimize`` is read, and is then bound as the
-module attribute ``minimize``.
+on the endpoint residual (:func:`minimize`).  The runtime needs numpy only.
 """
 
 from __future__ import annotations
@@ -59,7 +55,7 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass
-from typing import IO, List, Sequence, Tuple
+from typing import IO, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -67,17 +63,6 @@ from .classify import catalog_entry
 from .frames import AdaptedFrame, frame_from_orthonormal, reeb_frame
 
 MODEL_IDS = ("heisenberg", "a_plus_r", "sl2", "su2")
-
-
-def __getattr__(name):
-    # PEP 562: ``minimize`` is scipy's, imported on first use and then kept
-    # in the module globals, where a wrapper or monkeypatch can replace it.
-    if name == "minimize":
-        from scipy.optimize import minimize
-
-        globals()["minimize"] = minimize
-        return minimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class IntegrationBlowUpError(RuntimeError):
@@ -466,7 +451,7 @@ def integrate_controls(
     multiplicative).  A non-finite q raises :class:`IntegrationBlowUpError`
     at the segment's first step, a power that overflows "by" its last.
     """
-    if not controls:
+    if len(controls) == 0:  # an array schedule has no truth value
         raise ValueError("control schedule must be nonempty")
     seg_steps = max(1, steps // len(controls))
     seg_t = t_final / len(controls)
@@ -613,10 +598,21 @@ def _batched_endpoints(model, alphas, h0s, t, scale=1.0):
     return ends
 
 
-def _levenberg_marquardt(fun, x0, args=(), maxiter=200, **_):
-    """``scipy.optimize.minimize`` method: damped Gauss-Newton on a residual.
+class MinimizeResult(NamedTuple):
+    """What :func:`minimize` returns."""
 
-    ``fun(x, *args)`` returns the residual vector r; x is (alpha, h0, t) and
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+    message: str
+
+
+def minimize(fun, x0, maxiter=200) -> MinimizeResult:
+    """Levenberg-Marquardt: damped Gauss-Newton on a residual.
+
+    ``fun(x)`` returns the residual vector r; x is (alpha, h0, t) and
     ``fun`` is only ever called with t > 0 when ``x0`` has it.  Each
     iteration builds a forward-difference Jacobian J (one call per unknown)
     and tries steps dx solving (A + lam diag(A)) dx = -J^T r, A = J^T J.  A
@@ -628,10 +624,8 @@ def _levenberg_marquardt(fun, x0, args=(), maxiter=200, **_):
     cut |r|^2 by under 1%, or after ``maxiter`` iterations.  ``fun`` of the
     result is |r| at ``x``; ``nfev`` counts every call to ``fun``.
     """
-    from scipy.optimize import OptimizeResult
-
     x = np.array(x0, dtype=float)
-    r = np.asarray(fun(x, *args), dtype=float)
+    r = np.asarray(fun(x), dtype=float)
     cost = float(r @ r)
     nfev, nit, lam, slow = 1, 0, 1e-3, 0
     while True:
@@ -649,7 +643,7 @@ def _levenberg_marquardt(fun, x0, args=(), maxiter=200, **_):
         for j in range(x.size):
             shifted = x.copy()
             shifted[j] += math.sqrt(np.finfo(float).eps) * max(1.0, abs(x[j]))
-            jac[:, j] = (np.asarray(fun(shifted, *args), dtype=float) - r) / (shifted[j] - x[j])
+            jac[:, j] = (np.asarray(fun(shifted), dtype=float) - r) / (shifted[j] - x[j])
         nfev += x.size
         a, grad = jac.T @ jac, jac.T @ r
         cap = np.array([1.0, 1.0, 0.5 * x[2]])
@@ -660,7 +654,7 @@ def _levenberg_marquardt(fun, x0, args=(), maxiter=200, **_):
                 step = None
             if step is not None and np.all(np.abs(step) <= cap):
                 trial = x + step
-                r_trial = np.asarray(fun(trial, *args), dtype=float)
+                r_trial = np.asarray(fun(trial), dtype=float)
                 nfev += 1
                 cost_trial = float(r_trial @ r_trial)
                 if cost_trial < cost:
@@ -672,9 +666,7 @@ def _levenberg_marquardt(fun, x0, args=(), maxiter=200, **_):
         else:
             success, message = True, "no damped step reduces the residual"
             break
-    return OptimizeResult(
-        x=x, fun=math.sqrt(cost), nit=nit, nfev=nfev, success=success, message=message
-    )
+    return MinimizeResult(x, math.sqrt(cost), nit, nfev, success, message)
 
 
 def shoot_distance(
@@ -691,7 +683,7 @@ def shoot_distance(
     unit-time batch by the scaling law: each t is a covector scale, since the
     flow from t (cos alpha, sin alpha, h0) over time 1 ends where the unit
     covector's flow ends over time t.  Its three best points are refined by
-    Levenberg-Marquardt on the endpoint residual (:func:`_levenberg_marquardt`,
+    Levenberg-Marquardt on the endpoint residual (:func:`minimize`,
     at most ``budget`` iterations of 3 Jacobian endpoint evaluations plus
     one per trial step), each evaluated at its own t.  Returns the
     shortest refined hit whose endpoint error is below 1e-6, else the best
@@ -733,17 +725,10 @@ def shoot_distance(
     ]
     candidates.sort()  # lexicographic: error first, then grid indices
 
-    # Read at call time, so that a replaced ``geodesics.minimize`` is used.
-    minimize = globals().get("minimize") or __getattr__("minimize")
     hits = []
     best = None
     for err, _, _, alpha, h0, t in candidates[:3]:
-        res = minimize(
-            residual,
-            np.array([alpha, h0, t]),
-            method=_levenberg_marquardt,
-            options={"maxiter": budget},
-        )
+        res = minimize(residual, np.array([alpha, h0, t]), maxiter=budget)
         alpha_r, h0_r, t_r = res.x
         err_r = float(res.fun)
         cov = (math.cos(alpha_r), math.sin(alpha_r), float(h0_r))

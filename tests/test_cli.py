@@ -25,6 +25,7 @@ from sr3d.cli import (
     structure_from_dict,
     structure_to_dict,
 )
+from sr3d.geodesics import GeodesicState, build_model, integrate_geodesic
 
 
 ABELIAN_PROBE_7919_8 = """{"name": "aplus", "brackets": [
@@ -397,8 +398,9 @@ class TestDistanceCommand:
         assert err == f"error: budget must be >= 1, got {budget}\n"
 
     @pytest.mark.parametrize(
-        "target", ["[[1%s, 0], [0, 1]]" % ("0" * 400), "[" * 100000 + "]" * 100000],
-        ids=["too-large-for-a-float", "deep-nesting"],
+        "target", ["[[1%s, 0], [0, 1]]" % ("0" * 400), "[" * 100000 + "]" * 100000,
+                   "{}", "[[1,0],[0,{}]]"],
+        ids=["too-large-for-a-float", "deep-nesting", "object", "object-entry"],
     )
     def test_unreadable_target_is_parse_error(self, capsys, target):
         assert main(["distance", "--model", "sl2", "--target", target]) == EXIT_PARSE
@@ -482,19 +484,31 @@ def test_render_json_maps_non_finite_floats_to_null():
     )
 
 
-def test_only_a_refining_distance_query_imports_scipy():
+def test_every_subcommand_runs_without_scipy():
     # Run in a fresh interpreter: this one has scipy loaded by the tests.
     root = pathlib.Path(__file__).resolve().parents[1]
     heis = str(root / "sample_structures" / "heisenberg.json")
+    # A refining query: the endpoint of a known geodesic, not the identity.
+    model = build_model("sl2")
+    flight = integrate_geodesic(model, model.frame, GeodesicState(model.identity, 0.6, 0.8, 0.5),
+                                0.3, 400)
+    target = json.dumps(flight.endpoint.tolist())
     argvs = [["catalog"], ["figure1"], ["classify", "--input", heis],
              ["invariants", "--input", heis], ["geodesic", "--model", "sl2", "--steps", "10"],
-             ["certify-isometry", "--samples", "1"], ["distance", "--model", "sl2"]]
+             ["certify-isometry", "--samples", "1"], ["distance", "--model", "sl2"],
+             ["distance", "--model", "sl2", "--target", target]]
     script = (
         "import json, sys\n"
-        "import sr3d, sr3d.cli, sr3d.isometry\n"
+        "import numpy as np\n"
+        "from sr3d import geodesics\n"
+        "model = geodesics.build_model('sl2')\n"
+        f"shot = geodesics.shoot_distance(model, np.array({target}))\n"
+        "unloaded = 'scipy' not in sys.modules\n"
+        "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+        "import sr3d.cli\n"
         f"codes = [sr3d.cli.main(argv) for argv in {argvs!r}]\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(json.dumps([codes, loaded]))\n"
+        "loaded = sorted(m for m, v in sys.modules.items() if m.split('.')[0] == 'scipy' and v)\n"
+        "print(json.dumps([shot.distance, unloaded, codes, loaded]))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -502,7 +516,9 @@ def test_only_a_refining_distance_query_imports_scipy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    distance, unloaded, codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert distance == pytest.approx(0.3, abs=1e-6)
+    assert unloaded
     assert codes == [EXIT_OK] * len(argvs)
     assert loaded == []
 

@@ -19,6 +19,7 @@ from sr3d.geodesics import (
     build_model,
     integrate_controls,
     integrate_geodesic,
+    minimize,
     quat_mul,
     shoot_distance,
     trajectory_to_csv,
@@ -707,21 +708,21 @@ class TestShooting:
         with pytest.raises(ValueError, match="budget must be >= 1"):
             shoot_distance(models["sl2"], [1.0, 0.0, 0.0], budget=budget)
 
-    def test_minimize_is_bound_on_first_use_to_scipys(self):
-        import scipy.optimize
-
-        assert getattr(geodesics, "minimize") is scipy.optimize.minimize
-        assert vars(geodesics)["minimize"] is scipy.optimize.minimize
+    def test_minimize_is_this_modules_levenberg_marquardt(self):
+        assert minimize.__module__ == "sr3d.geodesics"
         with pytest.raises(AttributeError):
             geodesics.no_such_name
+        res = minimize(lambda x: np.array([x[0] - 1.0, x[1] + 2.0, x[2] - 3.0]),
+                       np.array([0.0, 0.0, 1.0]))
+        assert res._fields == ("x", "fun", "nit", "nfev", "success", "message")
+        assert res.success and res.fun <= 1e-14
+        assert np.allclose(res.x, [1.0, -2.0, 3.0], rtol=0.0, atol=1e-14)
 
     def test_refinement_calls_the_module_minimize_once_per_start(self, models, monkeypatch):
-        from scipy.optimize import minimize
-
         budgets = []
 
         def counting(*args, **kwargs):
-            budgets.append(kwargs["options"]["maxiter"])
+            budgets.append(kwargs["maxiter"])
             return minimize(*args, **kwargs)
 
         monkeypatch.setattr(geodesics, "minimize", counting)
@@ -730,8 +731,6 @@ class TestShooting:
         assert budgets == [5, 5, 5]
 
     def test_refinement_evaluations_and_result_contract(self, models, monkeypatch):
-        from scipy.optimize import minimize
-
         times, starts = [], []
         real_endpoint = _shoot_endpoint
 
@@ -742,13 +741,13 @@ class TestShooting:
         def checked(fun, x0, **kwargs):
             calls = []
 
-            def counted(x, *args):
-                calls.append((x.copy(), fun(x, *args)))
+            def counted(x):
+                calls.append((x.copy(), fun(x)))
                 return calls[-1][1]
 
             res = minimize(counted, x0, **kwargs)
             assert res.nfev == len(calls)
-            assert 1 <= res.nit <= kwargs["options"]["maxiter"]
+            assert 1 <= res.nit <= kwargs["maxiter"]
             r = next(r for x, r in calls if np.array_equal(x, res.x))
             assert res.fun == pytest.approx(np.linalg.norm(r), rel=1e-12)
             starts.append(res)
@@ -772,13 +771,10 @@ class TestShooting:
         assert len(starts) == 3 * 8
 
     def test_singular_damped_system_rejects_the_step(self):
-        from scipy.optimize import minimize
-
         # The residual ignores x[1], so J^T J + lam diag(J^T J) is singular
         # for every lam: each trial is rejected without a residual call.
         res = minimize(lambda x: np.array([x[0] - 1.0, x[2] - 2.0]),
-                       np.array([0.0, 0.0, 1.0]),
-                       method=geodesics._levenberg_marquardt, options={"maxiter": 50})
+                       np.array([0.0, 0.0, 1.0]), maxiter=50)
         assert (res.nit, res.nfev) == (1, 4)
         assert np.array_equal(res.x, [0.0, 0.0, 1.0]) and res.fun == math.sqrt(2.0)
 
@@ -830,8 +826,6 @@ class TestShooting:
         assert err.value.step == _shoot_steps(1.0)
 
     def test_grid_is_one_unit_time_batch_ranking_as_a_per_t_loop(self, models, monkeypatch):
-        from scipy.optimize import minimize
-
         grid_calls, starts = [], []
 
         def grid(model, alphas, h0s, t, **kwargs):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,18 @@ class TestControlFlows:
         with pytest.raises(ValueError):
             iso.integrate_chart([(0.1, 0.2)], 1.0, 10)
 
+    def test_array_schedule_flies_as_the_tuple_schedule(self):
+        schedule = [(0.3, -0.2, 0.5), (0.1, 0.4, -0.6)]
+        array = np.array(schedule)
+        assert np.array_equal(iso.integrate_sl2(array, 1.0, 40),
+                              iso.integrate_sl2(schedule, 1.0, 40))
+        assert iso.nagano_check(array, 1.0, 40) == iso.nagano_check(schedule, 1.0, 40)
+        for flow in (iso.integrate_chart, iso.integrate_sl2):
+            with pytest.raises(ValueError, match="control schedule must be nonempty"):
+                flow(np.empty((0, 3)), 1.0, 10)
+        with pytest.raises(ValueError, match="control schedule must be nonempty"):
+            iso.nagano_check(np.empty((0, 3)), 1.0)
+
     def test_flows_match_written_out_stages(self, rng):
         for _ in range(8):
             n_seg = int(rng.integers(1, 6))
@@ -457,7 +470,6 @@ class TestCertification:
         }
         assert all(r.passed for r in results)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
     def test_nan_psi_fails_every_row_that_evaluates_it(self):
         def nan_psi(rho, theta, phi):
             return tuple(np.full(np.shape(rho), np.nan) for _ in range(4))
@@ -482,3 +494,22 @@ class TestCertification:
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError, match="samples must be >= 0"):
             iso.run_certification(samples=-2, seed=1)
+
+    # Constant entries: ±inf, NaN, ±1e308, 1e-308 and 0 drawn often, and
+    # finite floats, moderate and not.
+    _ENTRY = st.floats(-4.0, 4.0) | st.floats() | st.sampled_from(
+        [math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-308, 0.0]
+    )
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(entries=st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY))
+    def test_any_constant_psi_gives_rows_and_fails_non_finite_ones(self, entries):
+        def psi(rho, theta, phi):
+            return tuple(np.full(np.shape(rho), e) for e in entries)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = iso.run_certification(samples=1, seed=11, psi=psi)
+        assert rows
+        for r in rows:
+            assert math.isfinite(r.max_residual) or not r.passed, r
