@@ -513,3 +513,10 @@ class TestCertification:
         assert rows
         for r in rows:
             assert math.isfinite(r.max_residual) or not r.passed, r
+
+    def test_rows_that_do_not_call_psi_still_warn(self, monkeypatch):
+        # Only the Psi evaluations are silenced: an overflow in the real
+        # chart's round trip reaches the caller.
+        monkeypatch.setattr(iso, "map_F_inv", lambda p: np.array([0.0, 1e308, 0.0]) * 10.0)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            iso.run_certification(samples=1, seed=11)
