@@ -33,12 +33,12 @@ function R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and
 
 Shooting flies no RK4.  The four models are the chi = 0 classes, whose
 normal geodesics have closed forms built on :meth:`GroupModel.exp`; the
-exact endpoint map :func:`_geodesic_ends` broadcasts over arrays and serves
-both the shooting grid (:func:`_batched_endpoints`) and the refinement's
-single endpoints (:func:`_shoot_endpoint`).  The grid is one unit-time
-batch: H is quadratic in the covector, so the flow from covector lam h over
-time 1 ends where the flow from h ends over time lam, and each grid time is
-a covector scale, evaluated as the unit covector's map at time lam.
+exact endpoint map :func:`_geodesic_ends` broadcasts over arrays.  Batches
+go through :func:`_batched_endpoints` (the shooting grid, and each
+refinement iteration's 3 Jacobian points in one call), single points through
+:func:`_shoot_endpoint`.  A batch flies over unit time: H is quadratic in
+the covector, so the flow from covector lam h over time 1 ends where the
+flow from h ends over time lam, and each path's time is a covector scale.
 
 Four models are provided: the 3x3 unipotent realization of the Heisenberg
 group, the 3x3 affine realization of A+(R) x R, SL(2) as 2x2 matrices, and
@@ -612,23 +612,29 @@ class MinimizeResult(NamedTuple):
 def minimize(fun, x0, maxiter=200) -> MinimizeResult:
     """Levenberg-Marquardt: damped Gauss-Newton on a residual.
 
-    ``fun(x)`` returns the residual vector r; x is (alpha, h0, t) and
-    ``fun`` is only ever called with t > 0 when ``x0`` has it.  Each
-    iteration builds a forward-difference Jacobian J (one call per unknown)
-    and tries steps dx solving (A + lam diag(A)) dx = -J^T r, A = J^T J.  A
-    step is rejected, and lam raised tenfold, when the damped system is
-    singular, when it exceeds the cap |dalpha|, |dh0| <= 1, |dt| <= t/2
-    (which keeps t positive), or when it does not reduce |r|; an accepted
-    step lowers lam tenfold.  Stops when |r| <= 1e-14, when no damped step
-    reduces |r| (lam above 1e8), after 5 accepted steps in a row that each
-    cut |r|^2 by under 1%, or after ``maxiter`` iterations.  ``fun`` of the
-    result is |r| at ``x``; ``nfev`` counts every call to ``fun``.
+    ``fun`` broadcasts over a leading axis: x of shape (n,) gives the
+    residual r of shape (m,), and points X of shape (k, n) give rows of
+    shape (k, m).  x is (alpha, h0, t) and ``fun`` is only ever called with
+    t > 0 when ``x0`` has it.  Each iteration builds a forward-difference
+    Jacobian J from one call on its n shifted points and tries steps dx
+    solving (A + lam diag(A)) dx = -J^T r, A = J^T J.  A step is rejected,
+    and lam raised tenfold, when the damped system is singular, when it
+    exceeds the cap |dalpha|, |dh0| <= 1, |dt| <= t/2 (which keeps t
+    positive), or when it does not reduce |r|; an accepted step lowers lam
+    tenfold.  Stops when |r| <= 1e-14, when no damped step reduces |r| (lam
+    above 1e8), after 5 accepted steps in a row that each cut |r|^2 by under
+    1%, or after ``maxiter`` iterations; fails at once when |r|^2 or J is
+    NaN or inf.  ``fun`` of the result is |r| at ``x``; ``nfev`` counts the
+    points evaluated.
     """
     x = np.array(x0, dtype=float)
     r = np.asarray(fun(x), dtype=float)
     cost = float(r @ r)
     nfev, nit, lam, slow = 1, 0, 1e-3, 0
     while True:
+        if not math.isfinite(cost):
+            success, message = False, "|r|^2 is NaN or inf"
+            break
         if math.sqrt(cost) <= 1e-14:
             success, message = True, "residual norm at most 1e-14"
             break
@@ -639,12 +645,12 @@ def minimize(fun, x0, maxiter=200) -> MinimizeResult:
             success, message = False, "maximum number of iterations reached"
             break
         nit += 1
-        jac = np.empty((r.size, x.size))
-        for j in range(x.size):
-            shifted = x.copy()
-            shifted[j] += math.sqrt(np.finfo(float).eps) * max(1.0, abs(x[j]))
-            jac[:, j] = (np.asarray(fun(shifted), dtype=float) - r) / (shifted[j] - x[j])
+        shifted = x + np.diag(math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x)))
+        jac = ((np.asarray(fun(shifted), dtype=float) - r) / (np.diag(shifted) - x)[:, None]).T
         nfev += x.size
+        if not np.all(np.isfinite(jac)):
+            success, message = False, "the Jacobian is NaN or inf"
+            break
         a, grad = jac.T @ jac, jac.T @ r
         cap = np.array([1.0, 1.0, 0.5 * x[2]])
         while lam <= 1e8:
@@ -684,8 +690,8 @@ def shoot_distance(
     flow from t (cos alpha, sin alpha, h0) over time 1 ends where the unit
     covector's flow ends over time t.  Its three best points are refined by
     Levenberg-Marquardt on the endpoint residual (:func:`minimize`,
-    at most ``budget`` iterations of 3 Jacobian endpoint evaluations plus
-    one per trial step), each evaluated at its own t.  Returns the
+    at most ``budget`` iterations of one batch of 3 Jacobian endpoints plus
+    one endpoint per trial step), each evaluated at its own t.  Returns the
     shortest refined hit whose endpoint error is below 1e-6, else the best
     found with its error.  Candidates are reduced in grid-index order, so
     the result is schedule-independent.
@@ -706,29 +712,25 @@ def shoot_distance(
     if float(np.max(np.abs(target - model.identity))) <= 1e-12:
         return ShootingResult(0.0, (0.0, 0.0, 0.0), 0.0, True)
 
-    def residual(params):
-        alpha, h0, t = params
-        return (_shoot_endpoint(model, alpha, h0, t) - target).ravel()
+    def residual(params):  # one point (alpha, h0, t), or a batch of them as rows
+        alpha, h0, t = params.T
+        if params.ndim == 1:
+            return (_shoot_endpoint(model, alpha, h0, t) - target).ravel()
+        ends = _batched_endpoints(model, alpha, h0, 1.0, scale=t)
+        return (ends - target).reshape(len(params), -1)
 
     alphas = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
     h0s = np.linspace(-_GRID_H0_MAX, _GRID_H0_MAX, 9)
     ts = np.linspace(0.15, _GRID_T_MAX, 10)
-    # Path p = k * per_t + idx flies the covector ts[k] * (cos alpha, sin
-    # alpha, h0) over unit time; idx is its (alpha, h0) index at that t.
+    # Path p flies the covector ts[k] * (cos alpha, sin alpha, h0) over unit
+    # time, with k, idx = divmod(p, 108): idx is its (alpha, h0) index.
     grid_t, grid_a, grid_h = (x.ravel() for x in np.meshgrid(ts, alphas, h0s, indexing="ij"))
     ends = _batched_endpoints(model, grid_a, grid_h, 1.0, scale=grid_t)
     errs = np.linalg.norm(ends.reshape(grid_t.size, -1) - target.ravel(), axis=1)
-    per_t = alphas.size * h0s.size
-    candidates = [
-        (float(e), p % per_t, p // per_t, float(a), float(h), float(t))
-        for p, (e, a, h, t) in enumerate(zip(errs, grid_a, grid_h, grid_t))
-    ]
-    candidates.sort()  # lexicographic: error first, then grid indices
-
-    hits = []
-    best = None
-    for err, _, _, alpha, h0, t in candidates[:3]:
-        res = minimize(residual, np.array([alpha, h0, t]), maxiter=budget)
+    k, idx = np.divmod(np.arange(grid_t.size), alphas.size * h0s.size)
+    hits, best = [], None
+    for p in np.lexsort((k, idx, errs))[:3]:  # error first, then grid indices
+        res = minimize(residual, np.array([grid_a[p], grid_h[p], grid_t[p]]), maxiter=budget)
         alpha_r, h0_r, t_r = res.x
         err_r = float(res.fun)
         cov = (math.cos(alpha_r), math.sin(alpha_r), float(h0_r))
@@ -737,9 +739,7 @@ def shoot_distance(
             hits.append(result)
         if best is None or err_r < best.endpoint_error:
             best = result
-    if hits:
-        return min(hits, key=lambda r: r.distance)
-    return best
+    return min(hits, key=lambda r: r.distance) if hits else best
 
 
 # --- export -----------------------------------------------------------------

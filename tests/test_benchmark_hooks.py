@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from sr3d import geodesics as geo
 from sr3d import isometry as iso
 
 BENCHMARKS = str(Path(__file__).resolve().parents[1] / "benchmarks")
@@ -73,3 +74,23 @@ def test_certification_flies_every_schedule_inside_nagano_check(monkeypatch):
     on_path = [(name, inside) for name, controls, inside in flows if controls in per_schedule]
     assert {name for name, _ in on_path} == {"integrate_chart", "integrate_sl2"}
     assert all(inside for _, inside in on_path)
+
+
+def test_a_distance_query_reaches_every_traced_shooting_layer(targets, monkeypatch):
+    # The traced distance metrics sum these spans inside a shoot_distance
+    # span: the grid and Jacobian batches, the single start and trial
+    # endpoints, and one minimize per grid start.
+    names = ("_batched_endpoints", "_shoot_endpoint", "minimize")
+    assert {("sr3d.geodesics", n) for n in names} <= {(t.module, t.attr) for t in targets}
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(geo, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(geo, name, counted)
+    model = geo.build_model("heisenberg")
+    assert geo.shoot_distance(model, geo._geodesic_ends(model, 0.7, 0.4, 0.3)).converged
+    assert calls["minimize"] == 3
+    assert calls["_batched_endpoints"] >= 1 + 3  # the grid, then a Jacobian per start
+    assert calls["_shoot_endpoint"] >= 3  # at least each start point

@@ -712,7 +712,7 @@ class TestShooting:
         assert minimize.__module__ == "sr3d.geodesics"
         with pytest.raises(AttributeError):
             geodesics.no_such_name
-        res = minimize(lambda x: np.array([x[0] - 1.0, x[1] + 2.0, x[2] - 3.0]),
+        res = minimize(lambda x: np.stack([x[..., 0] - 1.0, x[..., 1] + 2.0, x[..., 2] - 3.0], -1),
                        np.array([0.0, 0.0, 1.0]))
         assert res._fields == ("x", "fun", "nit", "nfev", "success", "message")
         assert res.success and res.fun <= 1e-14
@@ -731,19 +731,24 @@ class TestShooting:
         assert budgets == [5, 5, 5]
 
     def test_refinement_evaluations_and_result_contract(self, models, monkeypatch):
-        times, starts = [], []
-        real_endpoint = _shoot_endpoint
+        times, batches, starts = [], [], []
+        real_endpoint, real_batch = _shoot_endpoint, _batched_endpoints
 
         def endpoint(model, alpha, h0, t):
             times.append(t)
             return real_endpoint(model, alpha, h0, t)
 
+        def batch(model, alphas, h0s, t, scale=1.0):
+            batches.append(np.multiply(scale, t))
+            return real_batch(model, alphas, h0s, t, scale=scale)
+
         def checked(fun, x0, **kwargs):
-            calls = []
+            calls = []  # (point, residual) for every row evaluated
 
             def counted(x):
-                calls.append((x.copy(), fun(x)))
-                return calls[-1][1]
+                r = fun(x)
+                calls.extend(zip(np.atleast_2d(x).copy(), np.atleast_2d(r)))
+                return r
 
             res = minimize(counted, x0, **kwargs)
             assert res.nfev == len(calls)
@@ -754,6 +759,7 @@ class TestShooting:
             return res
 
         monkeypatch.setattr(geodesics, "_shoot_endpoint", endpoint)
+        monkeypatch.setattr(geodesics, "_batched_endpoints", batch)
         monkeypatch.setattr(geodesics, "minimize", checked)
         rng = np.random.default_rng(8)
         for mid in MODEL_IDS * 2:
@@ -762,10 +768,14 @@ class TestShooting:
             length = rng.uniform(0.25, 0.35)
             cov = start(model, math.cos(alpha), math.sin(alpha), h0)
             target = integrate_geodesic(model, model.frame, cov, length, 400).endpoint
-            del times[:]
+            del times[:], batches[:]
             result = shoot_distance(model, target)
             assert result.converged, (mid, result)
             assert result.distance == pytest.approx(length, abs=1e-6)
+            # Every refinement path, single or in a Jacobian batch (the grid
+            # is the first batch), is one point counted in some start's nfev.
+            times += [t for b in batches[1:] for t in b]
+            assert len(times) == sum(res.nfev for res in starts[-3:])
             assert len(times) <= 200, (mid, len(times))
             assert min(times) > 0.0
         assert len(starts) == 3 * 8
@@ -773,41 +783,92 @@ class TestShooting:
     def test_singular_damped_system_rejects_the_step(self):
         # The residual ignores x[1], so J^T J + lam diag(J^T J) is singular
         # for every lam: each trial is rejected without a residual call.
-        res = minimize(lambda x: np.array([x[0] - 1.0, x[2] - 2.0]),
+        res = minimize(lambda x: np.stack([x[..., 0] - 1.0, x[..., 2] - 2.0], -1),
                        np.array([0.0, 0.0, 1.0]), maxiter=50)
         assert (res.nit, res.nfev) == (1, 4)
         assert np.array_equal(res.x, [0.0, 0.0, 1.0]) and res.fun == math.sqrt(2.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("mid, z, distance, nelder_mead_evals", [
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_residual_is_no_success(self, bad):
+        x0 = np.array([0.0, 0.0, 1.0])
+        res = minimize(lambda x: np.array([bad, 0.0]), x0)
+        assert (res.success, res.message) == (False, "|r|^2 is NaN or inf")
+        assert (res.nit, res.nfev) == (0, 1) and not math.isfinite(res.fun)
+        # Finite at x0 only: every Jacobian point gives a non-finite row.
+        res = minimize(lambda x: np.stack([np.where(x[..., 0] == 0.0, 1.0, bad), x[..., 1]], -1), x0)
+        assert (res.success, res.message) == (False, "the Jacobian is NaN or inf")
+        assert (res.nit, res.nfev) == (1, 4)
+        assert np.array_equal(res.x, x0) and res.fun == 1.0
+
+    def test_heisenberg_distances_match_the_closed_form(self, models):
+        # An oracle that shares no code with shooting.  Read (X, Y, Z) off
+        # log g = N - N^2/2 (N = g - I, N^3 = 0) on (A1, A2, A0), and let
+        # r = |(X, Y)|.  The minimizing geodesic turns by phi, where
+        # (phi - sin phi) / (8 sin^2(phi/2)) = |Z| / r^2, and has length
+        # phi r / (2 sin(phi/2)).
+        model = models["heisenberg"]
+        entries = (0, 1, 0), (1, 2, 2)
+        basis = np.array([model.a1, model.a2, model.a0])[(slice(None),) + entries].T
+
+        def oracle(g):
+            n = g - np.eye(3)
+            x, y, z = np.linalg.solve(basis, (n - n @ n / 2)[entries])
+            r = math.hypot(x, y)
+            lo, hi = 0.0, 2.0 * math.pi
+            for _ in range(200):
+                phi = 0.5 * (lo + hi)
+                if (phi - math.sin(phi)) / (8.0 * math.sin(phi / 2) ** 2) < abs(z) / r ** 2:
+                    lo = phi
+                else:
+                    hi = phi
+            return phi * r / (2.0 * math.sin(phi / 2))
+
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            alpha, h0 = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-1.0, 1.0)
+            target = _geodesic_ends(model, alpha, h0, rng.uniform(0.25, 0.35))
+            result = shoot_distance(model, target)
+            assert result.converged
+            assert abs(result.distance - oracle(target)) <= 1e-10, (alpha, h0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mid, z, distance, max_paths", [
         ("heisenberg", 0.05, None, 664),
         ("heisenberg", 0.1, None, 652),
-        ("heisenberg", 0.3, 1.9416259915, 821),
+        ("heisenberg", 0.3, 1.9416259126, 821),
         ("sl2", 0.05, None, 710),
         ("sl2", 0.1, None, 705),
         ("sl2", 0.3, 1.9646657598, 803),
     ])
-    def test_near_vertical_targets(self, models, monkeypatch, mid, z, distance,
-                                   nelder_mead_evals):
+    def test_near_vertical_targets(self, models, monkeypatch, mid, z, distance, max_paths):
         # exp(z A0) lies on the vertical axis.  Below z = 0.3 its minimisers
         # need |h0| beyond the search box, so the search must end unconverged
-        # without raising, at no more endpoint evaluations than the
-        # Nelder-Mead refinement this replaced.
+        # without raising, at no more refinement endpoint paths than the
+        # Nelder-Mead refinement this replaced evaluated.  The Heisenberg
+        # distance is the closed form sqrt(4 pi z), the sl2 one a recorded run.
         model = models[mid]
-        calls = []
+        paths = []
 
         def endpoint(*args):
-            calls.append(args)
+            paths.append(1)
             return _shoot_endpoint(*args)
 
+        def batch(model, alphas, *args, **kwargs):
+            paths.append(np.size(alphas))
+            return _batched_endpoints(model, alphas, *args, **kwargs)
+
         monkeypatch.setattr(geodesics, "_shoot_endpoint", endpoint)
+        monkeypatch.setattr(geodesics, "_batched_endpoints", batch)
         result = shoot_distance(model, expm(z * model.a0))
-        assert len(calls) <= nelder_mead_evals
+        assert paths[0] == 1080  # the grid, which the bound leaves out
+        assert sum(paths[1:]) <= max_paths
         if distance is None:
             assert not result.converged
         else:
             assert result.converged
-            assert result.distance == pytest.approx(distance, abs=1e-6)
+            tol = 1e-9 if mid == "heisenberg" else 1e-6
+            assert result.distance == pytest.approx(distance, abs=tol)
 
     def test_non_finite_endpoint_raises(self, models):
         with pytest.raises(IntegrationBlowUpError) as err:
@@ -833,8 +894,9 @@ class TestShooting:
             return _batched_endpoints(model, alphas, h0s, t, **kwargs)
 
         def refine(fun, x0, **kwargs):
-            starts.append(tuple(x0))
-            return minimize(fun, x0, **kwargs)
+            res = minimize(fun, x0, **kwargs)
+            starts.append((tuple(x0), res.nit))
+            return res
 
         monkeypatch.setattr(geodesics, "_batched_endpoints", grid)
         monkeypatch.setattr(geodesics, "minimize", refine)
@@ -850,13 +912,15 @@ class TestShooting:
             target = integrate_geodesic(model, model.frame, cov, length, 2000).endpoint
             del grid_calls[:], starts[:]
             assert shoot_distance(model, target).converged
-            assert grid_calls == [(1080, 1.0)]
+            # The grid, then one 3-row Jacobian batch per LM iteration.
+            nit = sum(n for _, n in starts)
+            assert grid_calls == [(1080, 1.0)] + [(3, 1.0)] * nit, mid
             per_t = []
             for k, t in enumerate(np.linspace(0.15, 2.0, 10)):
                 ends = _batched_endpoints(model, ga, gh, float(t))
                 errs = np.linalg.norm(ends.reshape(ga.size, -1) - target.ravel(), axis=1)
                 per_t += [(errs[i], i, k, ga[i], gh[i], t) for i in range(ga.size)]
-            assert starts == [c[3:] for c in sorted(per_t)[:3]], mid
+            assert [x0 for x0, _ in starts] == [c[3:] for c in sorted(per_t)[:3]], mid
 
     def test_deterministic(self, models):
         model = models["heisenberg"]
