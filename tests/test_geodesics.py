@@ -228,7 +228,7 @@ class TestIntegration:
             base = integrate_geodesic(
                 model, model.frame, start(model, 0.6, -0.8, 0.5), 2.0, 2000
             ).endpoint
-            shift = integrate_controls(model, [(0.3, -0.2, 0.4)], 1.0, 200)
+            shift = integrate_controls(model, [(0.3, -0.2, 0.4)], 1.0)
             moved = integrate_geodesic(
                 model, model.frame,
                 GeodesicState(shift, 0.6, -0.8, 0.5), 2.0, 2000,
@@ -381,6 +381,15 @@ class TestPlainFloatStepAgainstNumpy:
         assert traj.max_group_defect <= 1e-8
 
 
+def expm_oracle(model, u1, u2, u0):
+    """exp(u1 A1 + u2 A2 + u0 A0) by scipy's expm: of the matrix, or for
+    quaternions of left multiplication by it, applied to 1."""
+    m = u1 * model.a1 + u2 * model.a2 + u0 * model.a0
+    if model.kind == "quaternion":
+        return expm(np.array([quat_mul(m, e) for e in np.eye(4)]).T)[:, 0]
+    return expm(m)
+
+
 class TestExactMaps:
     """GroupModel.exp and the endpoint map against oracles that share no
     code with them: scipy's expm, and RK4 flights of the coupled system."""
@@ -396,12 +405,7 @@ class TestExactMaps:
         got = model.exp(u[:, 0], u[:, 1], u[:, 2])
         assert got.shape == (40,) + model.identity.shape
         for row, g in zip(u, got):
-            m = model.combo(*row)
-            if model.kind == "quaternion":
-                # exp of left multiplication by m, applied to 1.
-                want = expm(np.array([quat_mul(m, e) for e in np.eye(4)]).T)[:, 0]
-            else:
-                want = expm(m)
+            want = expm_oracle(model, *row)
             assert np.max(np.abs(g - want)) <= tol * max(1.0, np.max(np.abs(want))), row
 
     @pytest.mark.parametrize(
@@ -582,75 +586,60 @@ def test_blow_up_step_matches_numpy(models, mid, cov, t_final, steps):
     assert got.value.step == want.value.step
 
 
-def numpy_controls(model, controls, t_final, steps):
-    """Reference: RK4 stages on numpy arrays with the model's own product."""
-    seg_steps = max(1, steps // len(controls))
-    dt = t_final / len(controls) / seg_steps
-    g = np.array(model.identity, dtype=float)
-    for u1, u2, u0 in controls:
-        m = model.combo(u1, u2, u0)
-        for _ in range(seg_steps):
-            k1 = model.mul(g, m)
-            k2 = model.mul(g + 0.5 * dt * k1, m)
-            k3 = model.mul(g + 0.5 * dt * k2, m)
-            k4 = model.mul(g + dt * k3, m)
-            g = g + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if model.kind == "quaternion":
-                g = g / np.linalg.norm(g)
-    return g
-
-
 class TestControls:
     @pytest.mark.parametrize("mid", MODEL_IDS)
-    def test_matches_numpy_stages(self, models, rng, mid):
+    def test_matches_expm_product(self, models, rng, mid):
+        # Each segment's flow is exactly its exponential; scipy's expm shares
+        # no code with GroupModel.exp.
         model = models[mid]
-        for _ in range(6):
+        for _ in range(12):
             n_seg = int(rng.integers(1, 6))
-            schedule = [tuple(rng.uniform(-2.0, 2.0, size=3)) for _ in range(n_seg)]
-            t_final, steps = float(rng.uniform(0.5, 2.0)), int(rng.integers(50, 800))
-            got = integrate_controls(model, schedule, t_final, steps)
-            want = numpy_controls(model, schedule, t_final, steps)
+            schedule = rng.uniform(-2.0, 2.0, (n_seg, 3))
+            t_final = float(rng.uniform(0.5, 2.0))
+            want = model.identity
+            for row in schedule:
+                want = model.mul(want, expm_oracle(model, *(t_final / n_seg * row)))
+            got = integrate_controls(model, schedule, t_final)
             assert got.shape == model.identity.shape
-            assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 7, 240, 1023])
     @pytest.mark.parametrize("mid", MODEL_IDS)
     def test_powered_segments_match_stepped_reference(self, models, rng, mid, steps):
-        # Each segment is one power of its RK4 map, taken by repeated
-        # squaring; the reference takes the steps one by one.
+        # A segment's flow exp(t M) is the power exp(t M / n)^n: each segment
+        # flown as n equal ones, one after another, ends where it ends.
         model = models[mid]
         for n_seg in range(1, 6):
             schedule = [tuple(rng.uniform(-2.0, 2.0, size=3)) for _ in range(n_seg)]
             t_final = float(rng.uniform(0.5, 2.0))
-            got = integrate_controls(model, schedule, t_final, steps)
-            want = numpy_controls(model, schedule, t_final, steps)
-            assert np.max(np.abs(got - want)) <= 1e-12, (n_seg, schedule)
+            got = integrate_controls(model, schedule, t_final)
+            want = integrate_controls(model, [u for u in schedule for _ in range(steps)], t_final)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), schedule
 
-    def test_blow_up_reports_global_step(self, models):
-        # A non-finite segment map is caught before the segment is flown.
-        schedule = [(0.0, 0.0, 0.0), (1e300, 1e300, 1e300)]
+    def test_non_finite_factor_names_its_segment(self, models):
+        schedule = [(0.0, 0.0, 0.0), (1e300, 1e300, 1e300), (0.0, 0.0, 0.0)]
         with pytest.raises(IntegrationBlowUpError) as err:
-            integrate_controls(models["sl2"], schedule, 1.0, 100)
-        assert err.value.step == 51
-        assert "at step 51" in str(err.value)
+            integrate_controls(models["sl2"], schedule, 1.0)
+        assert err.value.step == 2
+        assert "in segment 2" in str(err.value)
 
-    def test_overflowing_power_reports_segment_end(self, models):
-        # The segment map is finite and its 100th power is not; the power is
-        # checked once, so the step reported is the segment's last.
-        schedule = [(0.0, 0.0, 0.0), (-4000.0, 0.0, 0.0)]
+    def test_overflowing_product_names_its_segment(self, models):
+        # Each factor diag(e^500, e^-500) is finite; the product of the
+        # first two is not.
+        schedule = [(1000.0, 0.0, 0.0)] * 3
         with pytest.raises(IntegrationBlowUpError) as err:
-            integrate_controls(models["a_plus_r"], schedule, 1.0, 200)
-        assert err.value.step == 200
-        assert "by step 200" in str(err.value)
+            integrate_controls(models["sl2"], schedule, 3.0)
+        assert err.value.step == 2
+        assert "in segment 2" in str(err.value)
 
     def test_zero_controls_stay_at_identity(self, models):
         for model in models.values():
-            end = integrate_controls(model, [(0.0, 0.0, 0.0)], 1.0, 10)
+            end = integrate_controls(model, [(0.0, 0.0, 0.0)], 1.0)
             assert np.max(np.abs(end - model.identity)) == 0.0
 
     def test_pure_transverse_control_is_rotation_block(self, models):
         model = models["sl2"]
-        end = integrate_controls(model, [(0.0, 0.0, 1.0)], 0.7, 2000)
+        end = integrate_controls(model, [(0.0, 0.0, 1.0)], 0.7)
         assert np.max(np.abs(end - expm(0.7 * model.a0))) <= 1e-12
         # a0 = -g3 generates a rotation at half speed
         expected = np.array(
@@ -660,7 +649,7 @@ class TestControls:
 
     def test_sequential_controls_compose_exponentials_on_the_right(self, models):
         model = models["heisenberg"]
-        end = integrate_controls(model, [(1, 0, 0), (0, 1, 0)], 2.0, 2000)
+        end = integrate_controls(model, [(1, 0, 0), (0, 1, 0)], 2.0)
         assert np.max(np.abs(end - expm(model.a1) @ expm(model.a2))) <= 1e-12
 
     def test_empty_schedule_rejected(self, models):
@@ -787,6 +776,13 @@ class TestShooting:
                        np.array([0.0, 0.0, 1.0]), maxiter=50)
         assert (res.nit, res.nfev) == (1, 4)
         assert np.array_equal(res.x, [0.0, 0.0, 1.0]) and res.fun == math.sqrt(2.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_residual_norm_is_no_success_and_no_warning(self):
+        # |r|^2 overflows a float for |r| above ~1.3e154 though r is finite.
+        res = minimize(lambda x: np.array([1e200, 0.0]), np.array([0.0, 0.0, 1.0]))
+        assert (res.success, res.message) == (False, "|r|^2 is NaN or inf")
+        assert (res.nit, res.nfev) == (0, 1) and res.fun == math.inf
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -1003,9 +999,9 @@ class TestNonFiniteFlights:
     _CONTROLS = st.lists(st.tuples(*[st.floats(-4.0, 4.0) | _ANY] * 3), min_size=1, max_size=3)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(mid=st.sampled_from(MODEL_IDS), controls=_CONTROLS, t=_ANY, steps=st.integers(1, 40))
-    def test_integrate_controls(self, models, mid, controls, t, steps):
-        finite_or_documented(lambda: (integrate_controls(models[mid], controls, t, steps),))
+    @given(mid=st.sampled_from(MODEL_IDS), controls=_CONTROLS, t=_ANY)
+    def test_integrate_controls(self, models, mid, controls, t):
+        finite_or_documented(lambda: (integrate_controls(models[mid], controls, t),))
 
     # Targets: entries with the specials, and finite ones far from the
     # identity, where a small budget keeps the refinement short.

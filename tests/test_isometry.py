@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from sr3d import isometry as iso
 from sr3d.cli import PSI_MUTANTS
@@ -226,25 +227,15 @@ def reference_chart(controls, t_final, steps):
     return x, y, z
 
 
-def reference_sl2(controls, t_final, steps):
-    """Reference: RK4 stages written out on the entries of the SL(2) matrix."""
-    def rhs(a, b, c, d, u1, u2, u0):
+def exact_sl2(controls, t_final):
+    """Reference: the product of scipy expm factors, one per segment, of the
+    control written out as a 2x2 matrix."""
+    g = np.eye(2)
+    for u1, u2, u0 in controls:
         # u1 g1 + u2 g2 + u0 g0 = 0.5 [[u1, u2 - u0], [u2 + u0, -u1]]
-        m11, m12, m21 = 0.5 * u1, 0.5 * (u2 - u0), 0.5 * (u2 + u0)
-        return a * m11 + b * m21, a * m12 - b * m11, c * m11 + d * m21, c * m12 - d * m11
-
-    g = [1.0, 0.0, 0.0, 1.0]
-    seg_steps = max(1, steps // len(controls))
-    dt = t_final / len(controls) / seg_steps
-    for u in controls:
-        for _ in range(seg_steps):
-            k1 = rhs(*g, *u)
-            k2 = rhs(*[x + 0.5 * dt * k for x, k in zip(g, k1)], *u)
-            k3 = rhs(*[x + 0.5 * dt * k for x, k in zip(g, k2)], *u)
-            k4 = rhs(*[x + dt * k for x, k in zip(g, k3)], *u)
-            g = [x + (dt / 6.0) * (a + 2 * b + 2 * c + d)
-                 for x, a, b, c, d in zip(g, k1, k2, k3, k4)]
-    return np.array(g).reshape(2, 2)
+        m = 0.5 * np.array([[u1, u2 - u0], [u2 + u0, -u1]])
+        g = g @ expm(t_final / len(controls) * m)
+    return g
 
 
 def rk4_step_chart(controls, t_final, steps, start):
@@ -283,8 +274,9 @@ class TestControlFlows:
             with pytest.raises(ValueError, match="control schedule must be nonempty"):
                 flow()
         # A control that is not a triple is bad input, not a blow-up.
-        with pytest.raises(ValueError):
-            iso.integrate_chart([(0.1, 0.2)], 1.0, 10)
+        for flow in (iso.integrate_chart, iso.integrate_sl2):
+            with pytest.raises(ValueError):
+                flow([(0.1, 0.2)], 1.0, 10)
 
     def test_array_schedule_flies_as_the_tuple_schedule(self):
         schedule = [(0.3, -0.2, 0.5), (0.1, 0.4, -0.6)]
@@ -306,8 +298,18 @@ class TestControlFlows:
             q = iso.integrate_chart(schedule, 1.0, steps)
             assert max(abs(a - b) for a, b in zip((q.x, q.y, q.z),
                                                   reference_chart(schedule, 1.0, steps))) <= 1e-15
+            want = exact_sl2(schedule, 1.0)
             x = iso.integrate_sl2(schedule, 1.0, steps)
-            assert np.max(np.abs(x - reference_sl2(schedule, 1.0, steps))) <= 1e-13
+            assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_sl2_flow_is_the_closed_form_map_g(self, rng):
+        # map_G is diag(e^t1, e^-t1), then a hyperbolic and then a rotation
+        # factor: the flows of 2 t1 g1, 2 t2 g2 and 2 t0 g0 for unit time each.
+        for _ in range(200):
+            t1, t2, t0 = rng.uniform(-1.5, 1.5), rng.uniform(-3.0, 3.0), rng.uniform(-1.5, 1.5)
+            want = iso.map_G(t1, t2, t0)
+            x = iso.integrate_sl2([(2 * t1, 0, 0), (0, 2 * t2, 0), (0, 0, 2 * t0)], 3.0, 240)
+            assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_zero_controls_residual_zero(self):
         assert iso.nagano_check([(0.0, 0.0, 0.0)], 1.0, steps=100) <= 1e-15
@@ -324,6 +326,16 @@ class TestControlFlows:
         )
         assert np.max(np.abs(x - rot)) <= 1e-12
         assert np.max(np.abs(iso.psi_of_apoint(q) - x)) <= 1e-12
+
+    def test_residual_is_the_chart_rk4_error_of_order_four(self, rng):
+        # The SL(2) side is exact, so each step doubling cuts the residual
+        # 16x.  Every segment count 1-5 splits 60, 120 and 240 evenly.
+        for _ in range(6):
+            n_seg = int(rng.integers(1, 6))
+            schedule = [tuple(rng.uniform(-3, 3, size=3)) for _ in range(n_seg)]
+            r60, r120, r240 = (iso.nagano_check(schedule, 1.0, n) for n in (60, 120, 240))
+            assert 16.0 * 0.9 <= r60 / r120 <= 16.0 * 1.1, schedule
+            assert 16.0 * 0.9 <= r120 / r240 <= 16.0 * 1.1, schedule
 
     def test_random_schedules(self, rng):
         for _ in range(8):
