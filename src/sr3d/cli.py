@@ -396,7 +396,10 @@ def cmd_distance(args) -> int:
         "covector": list(result.covector),
         "endpoint_error": result.endpoint_error,
         "converged": result.converged,
-        "note": "heuristic shooting estimate; not a proof of optimality",
+        "note": "heuristic shooting estimate; not a proof of optimality"
+        if result.converged else
+        "not converged: distance_estimate is the flight time of the closest endpoint "
+        "found, not a distance",
     }
     _emit(data, args.json)
     return EXIT_OK if result.converged else EXIT_INTEGRATION

@@ -30,8 +30,8 @@ equations, on floats or arrays.  :func:`integrate_controls` flies no RK4: a
 constant control's flow is exactly g exp(t M), one closed form per segment.
 
 Shooting flies no RK4.  The four models are the chi = 0 classes, whose
-normal geodesics have closed forms built on :meth:`GroupModel.exp`; the
-exact endpoint map :func:`_geodesic_ends` broadcasts over arrays.  Batches
+normal geodesics have closed forms, written out entry by entry in the exact
+endpoint map :func:`_geodesic_ends`, which broadcasts over arrays.  Batches
 go through :func:`_batched_endpoints` (the shooting grid, and each
 refinement iteration's 3 Jacobian points in one call), single points through
 :func:`_shoot_endpoint`.  A batch flies over unit time: H is quadratic in
@@ -49,7 +49,6 @@ on the endpoint residual (:func:`minimize`).  The runtime needs numpy only.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -85,9 +84,19 @@ def _hamilton(w1, x1, y1, z1, w2, x2, y2, z2):
 
 
 def _over(num, x):
-    """num / x, read as 1 where x = 0: num is sin x, sinh x or expm1 x."""
-    x = np.asarray(x, dtype=float)
-    return np.divide(num, x, out=np.ones_like(x), where=x != 0)
+    """num / x, read as 1 where x = 0 by adding 1 to both: num is sin, sinh or expm1 of x."""
+    zero = x == 0
+    return (num + zero) / (x + zero)
+
+
+def _cosh_sinhc(q):
+    """(cosh s, sinh s / s) for s^2 = q, or (cos s, sin s / s) for s^2 = -q < 0:
+    each branch is evaluated at 0 off its side, where its factors are 1."""
+    s = np.sqrt(np.abs(q))
+    hyperbolic = s * (q > 0)
+    elliptic = s - hyperbolic
+    return (np.cosh(hyperbolic) * np.cos(elliptic),
+            _over(np.sinh(hyperbolic), hyperbolic) * _over(np.sin(elliptic), elliptic))
 
 
 def quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -150,13 +159,8 @@ class GroupModel:
                 g = _over(np.sin(r), r)[..., None] * m
                 g[..., 0] = np.cos(r)
                 return g
-            # sl2: M^2 = q I with q = -det M, so exp M = cosh(s) I + sinh(s)/s M
-            # for s^2 = q, read as cos and sin of sqrt(-q) when q < 0.
-            q = m[..., 0, 0] * m[..., 0, 0] + m[..., 0, 1] * m[..., 1, 0]
-            s = np.sqrt(np.abs(q))
-            hyperbolic = q > 0
-            c = np.where(hyperbolic, np.cosh(s), np.cos(s))
-            d = _over(np.where(hyperbolic, np.sinh(s), np.sin(s)), s)
+            # sl2: M^2 = q I with q = -det M.
+            c, d = _cosh_sinhc(m[..., 0, 0] * m[..., 0, 0] + m[..., 0, 1] * m[..., 1, 0])
             return c[..., None, None] * self.identity + d[..., None, None] * m
 
     def group_defect(self, g: np.ndarray) -> float:
@@ -483,37 +487,32 @@ def _shoot_steps(t: float) -> int:
     return max(40, int(math.ceil(steps)))
 
 
-@functools.cache
-def _sl2_model() -> GroupModel:
-    # Built on first use, not at import: building reads SR3D_TOL.
-    return build_model("sl2")
-
-
 def _geodesic_ends(model, alphas, h0s, t):
     """Exact endpoints at time t of the normal geodesics from the identity
     with covectors (cos alpha, sin alpha, h0); the arguments broadcast to a
     shape S and the result has shape S + ``identity.shape``.  Non-finite
     values are carried, not checked, and raise no warning.
 
-    The models are the chi = 0 classes, whose geodesics have closed forms
-    (Boscain and Rossi, SIAM J. Control Optim. 47, 2008):
+    The chi = 0 classes' closed forms (Boscain and Rossi, SIAM J. Control
+    Optim. 47, 2008), written out entry by entry with no matrix product:
 
-    * ``sl2`` and ``su2`` (kappa = -1 and +1): g = exp(t (h1 A1 + h2 A2 +
-      kappa h0 A0)) exp(-kappa t h0 A0);
-    * ``heisenberg``: the Magnus series ends at second order, g = exp(I1 A1
-      + I2 A2 + t^2 xi(h0 t) / 2 A0) with x = h0 t, I1 = t (h1 sinc x + h2
-      c(x)), I2 = t (h2 sinc x - h1 c(x)), c(x) = (1 - cos x) / x computed as
-      sin(x/2) sinc(x/2), and xi(x) = (x - sin x) / x^2;
+    * ``sl2`` and ``su2`` (kappa = -1, +1): exp(t (h1 A1 + h2 A2 + kappa h0
+      A0)) = c + d M (:func:`_cosh_sinhc`; cos r, sin r / r for r = |M| on
+      su2), turned by exp(-kappa t h0 A0), a rotation by half of t h0;
+    * ``heisenberg``: I + W + W^2 / 2, the Magnus series ending at second
+      order: W = I1 A1 + I2 A2 + t^2 xi(x) / 2 A0 with x = h0 t, I1 = t (h1
+      sinc x + h2 c(x)), I2 = t (h2 sinc x - h1 c(x)), c(x) = (1 - cos x) / x
+      = sin(x/2) sinc(x/2) and xi(x) = (x - sin x) / x^2;
     * ``a_plus_r``: Psi carries its geodesics onto sl2's with the same
-      covector, so the endpoint is Psi^-1 of the ``sl2`` one:
-      x = rho sin theta, y = -rho cos theta, z = 2 phi.  phi is lifted from
-      the principal branch by ``np.unwrap`` over samples of the same map
-      spaced under pi apart in time: |z'| <= |(h1, h2)| = 1, so phi moves
-      under pi / 2 between samples, and one sample does for |t| < pi.
+      covector, so the endpoint is Psi^-1 of the ``sl2`` one: x = rho sin
+      theta, y = -rho cos theta, z = 2 phi.  Past |t| = pi, phi is unwrapped
+      over samples of the same map under pi apart in time: |z'| <= |(h1,
+      h2)| = 1, so phi moves under pi / 2 between samples.
     """
     with np.errstate(all="ignore"):
-        t = np.asarray(t, dtype=float)
-        h1, h2, h0 = np.cos(alphas), np.sin(alphas), np.asarray(h0s, dtype=float)
+        # [()] reads 0-d arrays as numpy scalars, whose arithmetic is cheap.
+        t, h0 = np.asarray(t, dtype=float)[()], np.asarray(h0s, dtype=float)[()]
+        h1, h2 = np.cos(alphas), np.sin(alphas)
         if model.id == "heisenberg":
             x = h0 * t
             sinc, half = _over(np.sin(x), x), 0.5 * x
@@ -524,26 +523,44 @@ def _geodesic_ends(model, alphas, h0s, t):
             xi = np.where(np.abs(x) < 0.1,
                           x * (1 / 6 - x2 * (1 / 120 - x2 * (1 / 5040 - x2 / 362880))),
                           (x - np.sin(x)) / x2)
-            return model.exp(t * (h1 * sinc + h2 * c), t * (h2 * sinc - h1 * c), 0.5 * t * t * xi)
-        if model.id == "a_plus_r":
-            from .isometry import psi_inverse  # isometry imports this module
-
-            samples = int(np.max(np.abs(t), where=np.isfinite(t), initial=0.0) / math.pi) + 1
-            shape = np.broadcast_shapes(np.shape(alphas), h0.shape, t.shape)
-            ts = np.multiply.outer(np.arange(1, samples + 1) / samples, np.broadcast_to(t, shape))
-            g = _geodesic_ends(_sl2_model(), alphas, h0s, ts)
-            rho, theta, phi = psi_inverse(g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1])
-            if samples > 1:
-                phi = np.unwrap(np.concatenate([np.zeros((1,) + shape), phi]), axis=0)
-            phi = phi[-1]
-            ends = np.zeros(phi.shape + (3, 3))
-            rho, theta = rho[-1], theta[-1]
-            ends[..., 0, 0], ends[..., 0, 2] = rho * np.cos(theta), rho * np.sin(theta)
-            ends[..., 1, 1], ends[..., 1, 2], ends[..., 2, 2] = 1.0, 2.0 * phi, 1.0
+            i1, i2 = t * (h1 * sinc + h2 * c), t * (h2 * sinc - h1 * c)
+            ends = np.zeros(np.shape(i1) + (3, 3)) + model.identity
+            ends[..., 0, 1], ends[..., 1, 2], ends[..., 0, 2] = i2, i1, 0.5 * (t * t * xi + i1 * i2)
             return ends
-        kappa = -1.0 if model.id == "sl2" else 1.0
-        turn = kappa * t * h0
-        return model.mul(model.exp(t * h1, t * h2, turn), model.exp(0.0, 0.0, -turn))
+        stacked = model.id == "a_plus_r" and not (np.abs(t) < math.pi).all()
+        if stacked:  # a_plus_r past |t| = pi: samples under pi apart, to unwrap phi
+            samples = int(np.max(np.abs(t), where=np.isfinite(t), initial=0.0) / math.pi) + 1
+            shape = np.broadcast_shapes(np.shape(alphas), np.shape(h0), np.shape(t))
+            t = np.multiply.outer(np.arange(1, samples + 1) / samples, np.broadcast_to(t, shape))
+        turn = t * h0
+        cos_half, sin_half = np.cos(0.5 * turn), np.sin(0.5 * turn)
+
+        def turned(u, v):  # (u, v) [[cos, -sin], [sin, cos]], for half the turn
+            return u * cos_half + v * sin_half, v * cos_half - u * sin_half
+        if model.id == "su2":  # (cos r, b h2, b h1, b h0) (cos, 0, 0, -sin): (w, z), (y, x) turn
+            r = 0.5 * np.hypot(t, turn)
+            cos_r, b = np.cos(r), 0.5 * t * _over(np.sin(r), r)
+            ends = np.empty(np.shape(b * h1) + (4,))
+            ends[..., 0], ends[..., 3] = turned(cos_r, b * h0)
+            ends[..., 2], ends[..., 1] = turned(b * h1, b * h2)
+            return ends
+        # sl2: (c I + a [[h1, h2 + h0], [h2 - h0, -h1]]) [[cos, -sin], [sin, cos]]
+        c, d = _cosh_sinhc(0.25 * (t - turn) * (t + turn))
+        a = 0.5 * t * d
+        g = np.empty(np.shape(a * h1) + (2, 2))
+        g[..., 0, 0], g[..., 0, 1] = turned(c + a * h1, a * (h2 + h0))
+        g[..., 1, 0], g[..., 1, 1] = turned(a * (h2 - h0), c - a * h1)
+        if model.id == "sl2":
+            return g
+        from .isometry import psi_inverse  # isometry imports this module
+        rho, theta, phi = psi_inverse(g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1])
+        if stacked:
+            phi = np.unwrap(np.concatenate([np.zeros((1,) + shape), phi]), axis=0)[-1]
+            rho, theta = rho[-1], theta[-1]
+        ends = np.zeros(np.shape(phi) + (3, 3))
+        ends[..., 0, 0], ends[..., 0, 2] = rho * np.cos(theta), rho * np.sin(theta)
+        ends[..., 1, 1], ends[..., 1, 2], ends[..., 2, 2] = 1.0, 2.0 * phi, 1.0
+        return ends
 
 
 def _shoot_endpoint(model, alpha, h0, t):
@@ -676,8 +693,12 @@ def shoot_distance(
     found with its error.  Candidates are reduced in grid-index order, so
     the result is schedule-independent.
     A budget below 1, or a target of the wrong shape, with a non-finite
-    entry or whose norm overflows raises ValueError; a non-finite endpoint
-    met during the search raises :class:`IntegrationBlowUpError`.
+    entry, whose norm overflows, or that no endpoint can reach raises
+    ValueError before the grid: on ``a_plus_r`` entry (0, 0) <= 0, or a group
+    defect above h (1 + |target|)^2, h = ``HIT_TOLERANCE`` (within h of the
+    target |det - 1| moves by under (|target| + h) h, other defects by h, and
+    det rounds by ~1e-16 |target|^2).  A non-finite endpoint met during the
+    search raises :class:`IntegrationBlowUpError`.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -686,9 +707,14 @@ def shoot_distance(
         raise ValueError(f"target shape {target.shape} does not match the model's {model.identity.shape}")
     if not np.all(np.isfinite(target)):
         raise ValueError("target entries must be finite")
-    with np.errstate(over="ignore"):
-        if not math.isfinite(np.linalg.norm(target)):
-            raise ValueError("target norm overflows a float")
+    with np.errstate(all="ignore"):
+        size, defect = np.linalg.norm(target), model.group_defect(target)
+    if not math.isfinite(size):
+        raise ValueError("target norm overflows a float")
+    if defect / (1.0 + size) > HIT_TOLERANCE * (1.0 + size):  # so no product overflows
+        raise ValueError(f"target is off the {model.id} group: defect {defect:.3g}")
+    if model.id == "a_plus_r" and not target[0, 0] > 0:
+        raise ValueError("a_plus_r target entry (0, 0) must be positive")
     if float(np.max(np.abs(target - model.identity))) <= 1e-12:
         return ShootingResult(0.0, (0.0, 0.0, 0.0), 0.0, True)
 

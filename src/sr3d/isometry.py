@@ -32,13 +32,14 @@ fundamental domain certifies that Psi is injective there.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geodesics import (IntegrationBlowUpError, _rk4_floats, _sl2_model,
+from .geodesics import (GroupModel, IntegrationBlowUpError, _rk4_floats, build_model,
                         integrate_controls, sl2_basis)
 
 TWO_PI = 2.0 * math.pi
@@ -240,6 +241,12 @@ def integrate_chart(
         if not all(map(math.isfinite, state)):
             raise IntegrationBlowUpError((segment + 1) * seg_steps, "by step")
     return APoint(*state)
+
+
+@functools.cache
+def _sl2_model() -> GroupModel:
+    # Built on first use, not at import: building reads SR3D_TOL.
+    return build_model("sl2")
 
 
 def integrate_sl2(

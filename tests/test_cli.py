@@ -391,6 +391,31 @@ class TestDistanceCommand:
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+    @pytest.mark.parametrize("model, target", [
+        ("su2", "[0, 0, 0, 0]"), ("sl2", "[[1, 2], [0.5, 1]]"), ("sl2", "[[1, 0], [0, 1.001]]"),
+        ("a_plus_r", "[[-1, 0, 0.2], [0, 1, 0.3], [0, 0, 1]]"),
+    ])
+    def test_off_group_target_is_parse_error(self, capsys, model, target):
+        assert main(["distance", "--model", model, "--target", target]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_notes_say_whether_the_estimate_is_a_distance(self, capsys, as_json):
+        flag = ["--json"] if as_json else []
+        # One refinement iteration leaves this target's error at ~7e-3.
+        far = ["--target", "[[1.2, 0.3], [0.5, 0.9583333333333334]]", "--budget", "1"]
+        notes = {}
+        for name, argv, code in (("converged", [], EXIT_OK), ("open", far, EXIT_INTEGRATION)):
+            assert main(["distance", "--model", "sl2", *argv, *flag]) == code
+            out = capsys.readouterr().out
+            notes[name] = (json.loads(out)["note"] if as_json else
+                           next(line for line in out.splitlines() if line.startswith("note: "))[6:])
+        assert notes["converged"] == "heuristic shooting estimate; not a proof of optimality"
+        assert notes["open"] == ("not converged: distance_estimate is the flight time of the "
+                                 "closest endpoint found, not a distance")
+
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_bad_budget_is_parse_error(self, capsys, budget):
         assert main(["distance", "--model", "sl2", "--budget", budget]) == EXIT_PARSE

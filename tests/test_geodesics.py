@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -460,6 +461,105 @@ class TestExactMaps:
         assert map_rk4_gap(rk4_ends["heisenberg"], flipped_magnus) > 1e-3
 
 
+def reference_ends(model, alpha, h0, t):
+    """The endpoint map as products of GroupModel.exp factors, the form
+    _geodesic_ends had before its entries were written out: on sl2 and su2
+    exp(t (h1 A1 + h2 A2 + kappa h0 A0)) exp(-kappa t h0 A0); on heisenberg
+    the exp of the Magnus exponent, with xi(x) = (x - sin x) / x^2 from the
+    cancellation-free quadrature (x / 2) int_0^1 s^2 sinc^2(x s / 2) ds; on
+    a_plus_r Psi^-1 of the sl2 endpoint on the principal branch, which is
+    the right one for |t| <= pi (there |z| <= |t|)."""
+    alpha, h0, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, h0, t)))
+    h1, h2 = np.cos(alpha), np.sin(alpha)
+    if model.id == "heisenberg":
+        x = h0 * t
+        nodes, weights = np.polynomial.legendre.leggauss(40)
+        s = 0.5 * (nodes + 1.0)
+        xi = 0.25 * x * np.sum(weights * s * s * np.sinc(np.multiply.outer(x, s) / (2 * np.pi)) ** 2,
+                               axis=-1)
+        sinc, c = np.sinc(x / np.pi), np.sin(x / 2) * np.sinc(x / (2 * np.pi))
+        return model.exp(t * (h1 * sinc + h2 * c), t * (h2 * sinc - h1 * c), 0.5 * t * t * xi)
+    if model.id == "a_plus_r":
+        from sr3d.isometry import psi_inverse
+
+        g = reference_ends(build_model("sl2"), alpha, h0, t)
+        rho, theta, phi = psi_inverse(g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1])
+        ends = np.zeros(rho.shape + (3, 3))
+        ends[..., 0, 0], ends[..., 0, 2] = rho * np.cos(theta), rho * np.sin(theta)
+        ends[..., 1, 1], ends[..., 1, 2], ends[..., 2, 2] = 1.0, 2.0 * phi, 1.0
+        return ends
+    kappa = -1.0 if model.id == "sl2" else 1.0
+    turn = kappa * t * h0
+    return model.mul(model.exp(t * h1, t * h2, turn), model.exp(0.0 * t, 0.0 * t, -turn))
+
+
+class TestWrittenOutKernels:
+    """_geodesic_ends writes each model's endpoint out entry by entry; the
+    products of GroupModel.exp it replaced (:func:`reference_ends`) and
+    16000-step RK4 flights are its references, on seeded batches and at
+    every branch edge of the written-out forms."""
+
+    @staticmethod
+    def assert_matches_reference(model, alpha, h0, t, tol=1e-14):
+        got, want = _geodesic_ends(model, alpha, h0, t), reference_ends(model, alpha, h0, t)
+        assert got.shape == want.shape
+        gap = np.max(np.abs(got - want), axis=tuple(range(-model.identity.ndim, 0)))
+        assert np.all(gap <= tol * np.maximum(1.0, np.max(np.abs(want)))), np.max(gap)
+
+    @pytest.mark.parametrize("mid", MODEL_IDS)
+    def test_seeded_batch(self, models, mid):
+        rng = np.random.default_rng(28)
+        # a_plus_r's principal-branch reference holds for |t| <= pi.
+        t_max = math.pi if mid == "a_plus_r" else 4.0
+        alpha, h0 = rng.uniform(0.0, 2 * math.pi, 400), rng.uniform(-3.0, 3.0, 400)
+        self.assert_matches_reference(models[mid], alpha, h0, rng.uniform(-t_max, t_max, 400))
+
+    def test_a_plus_r_against_rk4(self, models, rk4_ends):
+        model = models["a_plus_r"]
+        assert map_rk4_gap(rk4_ends["a_plus_r"], lambda a, h0, t: _geodesic_ends(model, a, h0, t)) <= 1e-11
+
+    @pytest.mark.parametrize("mid", MODEL_IDS)
+    def test_zero_time_and_zero_h0(self, models, mid):
+        model = models[mid]
+        alpha = np.linspace(0.0, 2 * math.pi, 7)
+        assert np.array_equal(_geodesic_ends(model, alpha, 0.7, 0.0),
+                              np.broadcast_to(model.identity, (7,) + model.identity.shape))
+        self.assert_matches_reference(model, alpha, 0.0, np.linspace(-3.0, 3.0, 7))
+
+    @pytest.mark.parametrize("h0", [1.0, 1.0 - 1e-9, 1.0 + 1e-9, -1.0, -1.0 + 1e-9, -1.0 - 1e-9])
+    def test_sl2_where_cosh_meets_cos(self, models, h0):
+        # q = t^2 (1 - h0^2) / 4 changes sign at |h0| = 1, where c = d = 1.
+        alpha, t = np.linspace(0.0, 2 * math.pi, 9), np.linspace(-4.0, 4.0, 9)
+        self.assert_matches_reference(models["sl2"], alpha, h0, t)
+
+    @pytest.mark.parametrize("x", [0.1, 0.1 - 1e-12, 0.1 + 1e-12])
+    def test_heisenberg_at_the_series_switch(self, models, x):
+        alpha, t = np.linspace(0.0, 2 * math.pi, 8), np.array([0.5, -0.5, 2.0, -2.0] * 2)
+        for sign in (1.0, -1.0):
+            self.assert_matches_reference(models["heisenberg"], alpha, sign * x / t, t)
+
+    @pytest.mark.parametrize("t", [math.pi - 1e-9, math.pi + 1e-9, -math.pi - 1e-9])
+    def test_a_plus_r_where_one_sample_becomes_two(self, models, t):
+        # Past |t| = pi phi is unwrapped over two samples; at |t| near pi,
+        # |z| <= |t| keeps phi on the principal branch either way.
+        alpha, h0 = np.linspace(0.0, 2 * math.pi, 12), np.linspace(-3.0, 3.0, 12)
+        self.assert_matches_reference(models["a_plus_r"], alpha, h0, t)
+        single = [_geodesic_ends(models["a_plus_r"], a, h, t) for a, h in zip(alpha, h0)]
+        assert np.array_equal(np.array(single), _geodesic_ends(models["a_plus_r"], alpha, h0, t))
+
+    @pytest.mark.parametrize("mid", MODEL_IDS)
+    def test_non_finite_inputs_are_carried_without_warnings(self, models, mid):
+        bad = [math.nan, math.inf, -math.inf]
+        h0 = np.array(bad + [0.3, 0.3, 0.3, 0.3])
+        t = np.array([0.5, 0.5, 0.5] + bad + [0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ends = _geodesic_ends(models[mid], 0.7, h0, t)
+        finite = np.isfinite(ends.reshape(7, -1)).all(axis=1)
+        assert not finite[:6].any() and finite[6]
+        assert np.array_equal(ends[6], _geodesic_ends(models[mid], 0.7, 0.3, 0.5))
+
+
 def test_written_out_covector_step_is_rk4_step_to_the_bit(models, rng):
     # _split_flight writes _rk4_step's stages out on three floats; on every
     # catalog frame, turned so that c12 != 0 occurs, the covectors must be
@@ -679,7 +779,8 @@ class TestShooting:
 
     @pytest.mark.parametrize("target", [[1.0, 0.0, 0.0], [[float("nan"), 0.0], [0.0, 1.0]],
                                         [[1.0, 0.0], [0.0, float("inf")]],
-                                        [[1e300, 0.0], [0.0, 1e-300]]])
+                                        [[1e300, 0.0], [0.0, 1e-300]],
+                                        [[1.0, 2.0], [0.5, 1.0]], [[1.0, 0.0], [0.0, 1.001]]])
     def test_bad_target_fails_before_the_grid(self, models, monkeypatch, target):
         def grid(*args):
             raise AssertionError("the grid ran")
@@ -687,6 +788,34 @@ class TestShooting:
         monkeypatch.setattr(geodesics, "_batched_endpoints", grid)
         with pytest.raises(ValueError):
             shoot_distance(models["sl2"], target)
+
+    # No endpoint comes within HIT_TOLERANCE of these (sl2's are above): the
+    # search would run and report no convergence.
+    @pytest.mark.parametrize("mid, target, message", [
+        ("su2", [0.0, 0.0, 0.0, 0.0], "off the su2 group"),
+        ("heisenberg", [[1.0, 0.2, 0.1], [0.0, 1.0, 0.3], [0.0, 1e-3, 1.0]], "off the heisenberg"),
+        ("a_plus_r", [[-1.0, 0.0, 0.2], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]], r"entry \(0, 0\)"),
+        ("a_plus_r", [[0.0, 0.0, 0.2], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]], r"entry \(0, 0\)"),
+    ])
+    def test_off_group_target_fails_before_the_grid(self, models, monkeypatch, mid, target,
+                                                     message):
+        def grid(*args):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(geodesics, "_batched_endpoints", grid)
+        with pytest.raises(ValueError, match=message):
+            shoot_distance(models[mid], target)
+
+    @pytest.mark.parametrize("mid", MODEL_IDS)
+    def test_targets_near_the_group_are_searched(self, models, mid):
+        # A defect of 1e-8, far below the bound, is a reachable target: an
+        # endpoint 1e-8 away is a hit.
+        model = models[mid]
+        target = np.array(_geodesic_ends(model, 0.7, 0.4, 0.3))
+        target.flat[-1] += 1e-8
+        assert 0.0 < model.group_defect(target) <= 2e-8
+        result = shoot_distance(model, target)
+        assert result.converged and abs(result.distance - 0.3) <= 1e-6
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_bad_budget_fails_before_the_target_check(self, models, monkeypatch, budget):
