@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import math
 import os
 import reprlib
@@ -426,11 +427,7 @@ def cmd_certify_isometry(args) -> int:
             raise StructureParseError(
                 f"unknown mutation {args.mutate!r}; choose from {sorted(PSI_MUTANTS)}"
             )
-        kwargs = PSI_MUTANTS[args.mutate]
-
-        def psi(rho, theta, phi, _kw=kwargs):
-            return isometry.psi_entries(rho, theta, phi, **_kw)
-
+        psi = functools.partial(isometry.psi_entries, **PSI_MUTANTS[args.mutate])
     results = isometry.run_certification(samples=args.samples, seed=args.seed, psi=psi)
     if args.json:
         data = {

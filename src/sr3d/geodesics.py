@@ -504,10 +504,14 @@ def _geodesic_ends(model, alphas, h0s, t):
       sinc x + h2 c(x)), I2 = t (h2 sinc x - h1 c(x)), c(x) = (1 - cos x) / x
       = sin(x/2) sinc(x/2) and xi(x) = (x - sin x) / x^2;
     * ``a_plus_r``: Psi carries its geodesics onto sl2's with the same
-      covector, so the endpoint is Psi^-1 of the ``sl2`` one: x = rho sin
-      theta, y = -rho cos theta, z = 2 phi.  Past |t| = pi, phi is unwrapped
-      over samples of the same map under pi apart in time: |z'| <= |(h1,
-      h2)| = 1, so phi moves under pi / 2 between samples.
+      covector, so the endpoint is Psi^-1 of the ``sl2`` one.  The turn, a
+      rotation on the right, keeps |row 1|^2 = 1 / (rho cos theta) and
+      row 1 . row 2 = tan theta, and adds -t h0 / 2 to phi, the arg of row 1
+      (0 at t = 0).  Unturned, row 1 is w = c + a h1 + i a (h2 + h0).  If
+      q < 0, w = cos s + beta sin s (s = sqrt(-q); Im beta has the sign sigma
+      of t (h2 + h0), as |h2| <= 1 < |h0|) is (-1)^m at s = m pi and Im w has
+      one sign between, so arg w = m pi sigma + atan2((-1)^m Im w, (-1)^m Re
+      w), m = rint(s / pi); if q >= 0, Im w keeps one sign and m = 0.
     """
     with np.errstate(all="ignore"):
         # [()] reads 0-d arrays as numpy scalars, whose arithmetic is cheap.
@@ -527,12 +531,21 @@ def _geodesic_ends(model, alphas, h0s, t):
             ends = np.zeros(np.shape(i1) + (3, 3)) + model.identity
             ends[..., 0, 1], ends[..., 1, 2], ends[..., 0, 2] = i2, i1, 0.5 * (t * t * xi + i1 * i2)
             return ends
-        stacked = model.id == "a_plus_r" and not (np.abs(t) < math.pi).all()
-        if stacked:  # a_plus_r past |t| = pi: samples under pi apart, to unwrap phi
-            samples = int(np.max(np.abs(t), where=np.isfinite(t), initial=0.0) / math.pi) + 1
-            shape = np.broadcast_shapes(np.shape(alphas), np.shape(h0), np.shape(t))
-            t = np.multiply.outer(np.arange(1, samples + 1) / samples, np.broadcast_to(t, shape))
         turn = t * h0
+        if model.id != "su2":  # sl2 before the turn: c I + a [[h1, h2 + h0], [h2 - h0, -h1]]
+            q = 0.25 * (t - turn) * (t + turn)
+            c, d = _cosh_sinhc(q)
+            a = 0.5 * t * d
+            re, im = c + a * h1, a * (h2 + h0)  # row 1, w
+        if model.id == "a_plus_r":  # (rho cos theta, rho sin theta, 2 phi)
+            size, m = re * re + im * im, np.rint(np.sqrt(np.maximum(-q, 0.0)) / math.pi)
+            flip = 1.0 - 2.0 * (m % 2.0)  # (-1)^m
+            sigma = np.sign(t * (h2 + h0))
+            phi = m * math.pi * sigma + np.arctan2(flip * im, flip * re) - 0.5 * turn
+            ends = np.zeros(np.shape(phi) + (3, 3))
+            ends[..., 0, 0], ends[..., 0, 2] = 1.0 / size, 2.0 * a * (c * h2 - a * h1 * h0) / size
+            ends[..., 1, 1], ends[..., 1, 2], ends[..., 2, 2] = 1.0, 2.0 * phi, 1.0
+            return ends
         cos_half, sin_half = np.cos(0.5 * turn), np.sin(0.5 * turn)
 
         def turned(u, v):  # (u, v) [[cos, -sin], [sin, cos]], for half the turn
@@ -544,23 +557,11 @@ def _geodesic_ends(model, alphas, h0s, t):
             ends[..., 0], ends[..., 3] = turned(cos_r, b * h0)
             ends[..., 2], ends[..., 1] = turned(b * h1, b * h2)
             return ends
-        # sl2: (c I + a [[h1, h2 + h0], [h2 - h0, -h1]]) [[cos, -sin], [sin, cos]]
-        c, d = _cosh_sinhc(0.25 * (t - turn) * (t + turn))
-        a = 0.5 * t * d
+        # sl2: the rows above, turned
         g = np.empty(np.shape(a * h1) + (2, 2))
-        g[..., 0, 0], g[..., 0, 1] = turned(c + a * h1, a * (h2 + h0))
+        g[..., 0, 0], g[..., 0, 1] = turned(re, im)
         g[..., 1, 0], g[..., 1, 1] = turned(a * (h2 - h0), c - a * h1)
-        if model.id == "sl2":
-            return g
-        from .isometry import psi_inverse  # isometry imports this module
-        rho, theta, phi = psi_inverse(g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1])
-        if stacked:
-            phi = np.unwrap(np.concatenate([np.zeros((1,) + shape), phi]), axis=0)[-1]
-            rho, theta = rho[-1], theta[-1]
-        ends = np.zeros(np.shape(phi) + (3, 3))
-        ends[..., 0, 0], ends[..., 0, 2] = rho * np.cos(theta), rho * np.sin(theta)
-        ends[..., 1, 1], ends[..., 1, 2], ends[..., 2, 2] = 1.0, 2.0 * phi, 1.0
-        return ends
+        return g
 
 
 def _shoot_endpoint(model, alpha, h0, t):
@@ -693,11 +694,12 @@ def shoot_distance(
     found with its error.  Candidates are reduced in grid-index order, so
     the result is schedule-independent.
     A budget below 1, or a target of the wrong shape, with a non-finite
-    entry, whose norm overflows, or that no endpoint can reach raises
-    ValueError before the grid: on ``a_plus_r`` entry (0, 0) <= 0, or a group
-    defect above h (1 + |target|)^2, h = ``HIT_TOLERANCE`` (within h of the
-    target |det - 1| moves by under (|target| + h) h, other defects by h, and
-    det rounds by ~1e-16 |target|^2).  A non-finite endpoint met during the
+    entry, whose squared norm overflows (so would the residual's), or that
+    no endpoint can reach raises ValueError before the grid: on ``a_plus_r``
+    entry (0, 0) <= 0, or a group defect above h (1 + |target|)^2, h =
+    ``HIT_TOLERANCE`` (within h of the target |det - 1| moves by under
+    (|target| + h) h, other defects by h, and det rounds by ~1e-16
+    |target|^2).  A non-finite endpoint met during the
     search raises :class:`IntegrationBlowUpError`.
     """
     if budget < 1:
@@ -710,7 +712,7 @@ def shoot_distance(
     with np.errstate(all="ignore"):
         size, defect = np.linalg.norm(target), model.group_defect(target)
     if not math.isfinite(size):
-        raise ValueError("target norm overflows a float")
+        raise ValueError("target squared norm overflows a float, as the residual's would")
     if defect / (1.0 + size) > HIT_TOLERANCE * (1.0 + size):  # so no product overflows
         raise ValueError(f"target is off the {model.id} group: defect {defect:.3g}")
     if model.id == "a_plus_r" and not target[0, 0] > 0:

@@ -91,17 +91,22 @@ def matrix_to_apoint(g: np.ndarray) -> APoint:
 
 # --- coordinate frame ----------------------------------------------------------
 
+def _chart_rhs(u, x, y, z):
+    """u1 fhat1 + u2 fhat2 + u0 f0 at (x, y, z), for the control u = (u1, u2, u0)."""
+    u1, u2, u0 = u
+    s, c = math.sin(z), math.cos(z)
+    return u1 * y * s - u2 * y * c, -u1 * y * c - u2 * y * s, -u1 * s + u2 * c - u0
+
+
 def frame_hat(p: APoint) -> Tuple[np.ndarray, np.ndarray]:
-    """The rotated orthonormal frame in (dx, dy, dz) components."""
-    s, c = math.sin(p.z), math.cos(p.z)
-    f1 = np.array([p.y * s, -p.y * c, -s])
-    f2 = np.array([-p.y * c, -p.y * s, c])
-    return f1, f2
+    """The rotated orthonormal frame in (dx, dy, dz): :func:`_chart_rhs` at unit controls."""
+    return (np.array(_chart_rhs((1.0, 0.0, 0.0), p.x, p.y, p.z)),
+            np.array(_chart_rhs((0.0, 1.0, 0.0), p.x, p.y, p.z)))
 
 
 def f0_chart() -> np.ndarray:
-    """Reeb vector of the structure in chart components: -d/dz."""
-    return np.array([0.0, 0.0, -1.0])
+    """The Reeb field -d/dz in chart components (constant: read at the identity)."""
+    return np.array(_chart_rhs((0.0, 0.0, 1.0), 0.0, -1.0, 0.0))
 
 
 # --- endpoint maps ------------------------------------------------------------
@@ -207,13 +212,6 @@ def psi_consistency(
 
 
 # --- control flows on both sides ----------------------------------------------
-
-def _chart_rhs(u, x, y, z):
-    """u1 fhat1 + u2 fhat2 + u0 f0 at (x, y, z), for the control u = (u1, u2, u0)."""
-    u1, u2, u0 = u
-    s, c = math.sin(z), math.cos(z)
-    return u1 * y * s - u2 * y * c, -u1 * y * c - u2 * y * s, -u1 * s + u2 * c - u0
-
 
 def integrate_chart(
     controls: Sequence[Tuple[float, float, float]],

@@ -383,12 +383,16 @@ class TestDistanceCommand:
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_overflowing_target_norm(self, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["distance", "--model", "sl2", "--target", "[[1e300, 0], [0, 1e-300]]"])
-        assert code == EXIT_PARSE
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        # Norm 1e200 is a float, but its square, like the search's squared
+        # residual, is not: the message names the squared norm.
+        for target in ("[[1e300, 0], [0, 1e-300]]", "[[1e200, 0], [0, 1e-200]]"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["distance", "--model", "sl2", "--target", target])
+            assert code == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "squared norm overflows" in err, err
 
 
     @pytest.mark.parametrize("model, target", [

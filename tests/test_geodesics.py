@@ -1,6 +1,10 @@
 import dataclasses
 import io
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -426,13 +430,14 @@ class TestExactMaps:
 
     def test_a_plus_r_map_unwraps_z_past_two_pi(self, models):
         # z = 2 phi leaves Psi's principal branch: RK4 ends at z = -8.114,
-        # where the principal phi would give z = 4.452.
+        # where the principal phi would give z = 4.452; here h0 < 1, so the
+        # map's arg of row 1 stays principal and -t h0 / 2 carries z.
         model = models["a_plus_r"]
         flown = integrate_geodesic(model, model.frame, start(model, 0.0, 1.0, 0.9), 12.0, 16000)
         assert flown.endpoint[1, 2] < -2 * math.pi
         got = _geodesic_ends(model, math.pi / 2, 0.9, 12.0)
         assert np.max(np.abs(got - flown.endpoint)) <= 1e-10
-        # In a batch, each path is unwrapped over samples of its own time.
+        # In a batch, each path's phi is that of its own time.
         batch = _geodesic_ends(model, math.pi / 2, [0.9, 0.9, -0.4], [0.5, 12.0, -9.0])
         for k, (h0, t) in enumerate([(0.9, 0.5), (0.9, 12.0), (-0.4, -9.0)]):
             assert np.max(np.abs(batch[k] - _geodesic_ends(model, math.pi / 2, h0, t))) <= 1e-13
@@ -540,12 +545,47 @@ class TestWrittenOutKernels:
 
     @pytest.mark.parametrize("t", [math.pi - 1e-9, math.pi + 1e-9, -math.pi - 1e-9])
     def test_a_plus_r_where_one_sample_becomes_two(self, models, t):
-        # Past |t| = pi phi is unwrapped over two samples; at |t| near pi,
-        # |z| <= |t| keeps phi on the principal branch either way.
+        # At |t| = pi one principal-branch sample of phi stops being enough:
+        # the reference reads phi on Psi's principal branch, which |z| <= |t|
+        # keeps it on up to |t| = pi, and the map must meet it on both sides.
+        # Here |h0| <= 3, so row 1 makes at most one half-turn (m <= 1).
         alpha, h0 = np.linspace(0.0, 2 * math.pi, 12), np.linspace(-3.0, 3.0, 12)
         self.assert_matches_reference(models["a_plus_r"], alpha, h0, t)
         single = [_geodesic_ends(models["a_plus_r"], a, h, t) for a, h in zip(alpha, h0)]
         assert np.array_equal(np.array(single), _geodesic_ends(models["a_plus_r"], alpha, h0, t))
+
+    def test_a_plus_r_on_long_flights(self, models):
+        # Past |t| = pi nothing keeps phi principal.  Three hyperbolic paths
+        # (|h0| < 1: no conjugate point bounds t) at t in [24, 40], and one
+        # elliptic path at negative t whose row 1 makes 13 half-turns, each
+        # against 20000-step RK4.
+        model, rng = models["a_plus_r"], np.random.default_rng(29)
+        cases = [(rng.uniform(0.0, 2 * math.pi), rng.uniform(-1.0, 1.0), rng.uniform(24.0, 40.0))
+                 for _ in range(3)]
+        cases.append((rng.uniform(0.0, 2 * math.pi), rng.uniform(2.5, 3.0), -rng.uniform(28.0, 32.0)))
+        for alpha, h0, t in cases:
+            cov = start(model, math.cos(alpha), math.sin(alpha), h0)
+            want = integrate_geodesic(model, model.frame, cov, t, 20000).endpoint
+            gap = np.abs(_geodesic_ends(model, alpha, h0, t) - want) / (1.0 + np.abs(want))
+            assert np.max(gap) <= 1e-9, (alpha, h0, t, np.max(gap))
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_a_plus_r_where_the_half_turn_count_switches(self, models, m):
+        # m = rint(sqrt(-q) / pi) steps up at sqrt(-q) / pi = m + 1/2; the
+        # endpoint moves by O(1e-8) across it, at either sign of t and of
+        # h2 + h0, and single calls are the batch's to the bit.
+        model = models["a_plus_r"]
+        alpha = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
+        h0 = np.array([1.5, -2.5, 3.0, -1.2, 1.05, -3.0, 2.0, -1.7])
+        sign = np.array([1.0, 1.0, -1.0, -1.0] * 2)
+        sides = []
+        for offset in (-1e-9, 1e-9):
+            t = sign * 2 * math.pi * (m + 0.5 + offset) / np.sqrt(h0 * h0 - 1.0)
+            ends = _geodesic_ends(model, alpha, h0, t)
+            single = [_geodesic_ends(model, a, h, s) for a, h, s in zip(alpha, h0, t)]
+            assert np.array_equal(np.array(single), ends)
+            sides.append(ends)
+        assert np.max(np.abs(sides[1] - sides[0]) / (1.0 + np.abs(sides[0]))) <= 1e-7
 
     @pytest.mark.parametrize("mid", MODEL_IDS)
     def test_non_finite_inputs_are_carried_without_warnings(self, models, mid):
@@ -558,6 +598,26 @@ class TestWrittenOutKernels:
         finite = np.isfinite(ends.reshape(7, -1)).all(axis=1)
         assert not finite[:6].any() and finite[6]
         assert np.array_equal(ends[6], _geodesic_ends(models[mid], 0.7, 0.3, 0.5))
+
+
+def test_a_plus_r_map_does_not_import_the_isometry():
+    # geodesics sits wholly below isometry: the a_plus_r map reads Psi^-1
+    # in closed form, so a fresh interpreter never loads sr3d.isometry.
+    script = (
+        "import sys\n"
+        "from sr3d import geodesics\n"
+        "model = geodesics.build_model('a_plus_r')\n"
+        "geodesics._geodesic_ends(model, [0.3, 1.0], [0.7, 2.5], [1.2, 30.0])\n"
+        "print('sr3d.isometry' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_written_out_covector_step_is_rk4_step_to_the_bit(models, rng):
