@@ -61,8 +61,14 @@ class LieAlgebra3:
         c = np.asarray(self.c, dtype=float)
         if c.shape != (3, 3, 3):
             raise ValueError(f"structure tensor must be 3x3x3, got {c.shape}")
-        if not np.isfinite(c).all():
+        size = float(np.max(np.abs(c)))
+        if not math.isfinite(size):
             raise ValueError("structure constants must be finite")
+        # The Jacobi sums and the Killing form add up to 18 products of two
+        # constants each, so those sums must stay floats.
+        if not math.isfinite(18.0 * size * size):
+            raise ValueError(f"structure constants too large: 18 max|c|^2 overflows a float "
+                             f"(max|c| = {size:.3g})")
         if not np.array_equal(c, -np.swapaxes(c, 0, 1)):
             raise ValueError("structure tensor is not antisymmetric in (i, j)")
         c = c.copy()

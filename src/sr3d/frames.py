@@ -9,10 +9,11 @@ extracts the six frame constants
     [f2, f0] = c02_1 f1 + c02_2 f2
     [f2, f1] = c12_1 f1 + c12_2 f2 + f0
 
-that drive everything downstream.  For left-invariant data the Reeb
-conditions reduce to pure linear algebra: ``f0 = [f2, f1] - a f1 - b f2``
-with (a, b) the unique pair making ``[f1, f0]`` and ``[f2, f0]`` tangent to
-the plane; then (c12_1, c12_2) = (a, b).
+that drive everything downstream.  One contact rule, relative to the size of
+the algebra's constants, decides whether a bracket leaves the plane; the
+plane's own bracket is taken once.  For left-invariant data the Reeb
+conditions are linear, and one 3x3 solve in the basis (f1, f2, [f2, f1])
+yields all six constants.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .config import rel_tol
 
 class NotBracketGeneratingError(ValueError):
     """The distribution is a subalgebra, hence not bracket generating."""
+
+
+_SUBALGEBRA = "distribution is a subalgebra - not bracket generating"
 
 
 def _sym2_eigenvalues(a: float, b: float, c: float) -> Tuple[float, float]:
@@ -162,20 +166,31 @@ def orthonormalize(structure: SRStructure) -> Tuple[Vector3, Vector3]:
 
 
 def check_contact(structure: SRStructure) -> bool:
-    """True iff |[v1, v2] . n| > rel_tol() |[v1, v2]| |n| for the normal n = v1 x v2."""
-    v1, v2 = structure.v1, structure.v2
-    return _normal_component(bracket(structure.algebra, v1, v2), v1, v2)[0] != 0.0
+    """True iff [v1, v2] passes the contact rule every frame applies (:func:`_transverse`)."""
+    return _plane_bracket(structure)[0] != 0.0
 
 
-def _normal_component(v: Vector3, a: Vector3, b: Vector3) -> Tuple[float, Tuple[float, ...]]:
-    """(v . n, n) for n = a x b, with v . n set to 0.0 if |v . n| <= rel_tol() |v| |n|."""
+def _transverse(v: Vector3, a: Vector3, b: Vector3, scale: float) -> Tuple[float, tuple]:
+    """(v . n, n) for n = a x b under the contact rule: v . n is set to 0.0
+    when |v . n| <= tol |v| |n| (v is tangent to the plane) or when
+    |v| <= tol scale |a| |b| (v is at rounding size of constants of size
+    ``scale``, as the bracket of an abelian plane is), for tol = rel_tol()."""
     (a1, a2, a3), (b1, b2, b3) = a.tolist(), b.tolist()
     n = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
     v = v.tolist()
     vn = v[0] * n[0] + v[1] * n[1] + v[2] * n[2]
-    if abs(vn) <= rel_tol() * math.hypot(*v) * math.hypot(*n):
+    tol, size = rel_tol(), math.hypot(*v)
+    if (abs(vn) <= tol * size * math.hypot(*n)
+            or size <= tol * scale * math.hypot(a1, a2, a3) * math.hypot(b1, b2, b3)):
         vn = 0.0
     return vn, n
+
+
+def _plane_bracket(structure: SRStructure) -> Tuple[float, tuple]:
+    """:func:`_transverse` of [v1, v2] and v1 x v2 on the generators divided by
+    their largest entries: the rule is blind to rescaling, and nothing overflows."""
+    v1, v2 = (v / max(map(abs, v.tolist())) for v in structure.span)
+    return _transverse(bracket(structure.algebra, v1, v2), v1, v2, structure.algebra.scale)
 
 
 def frame_from_orthonormal(algebra: LieAlgebra3, f1: Vector3, f2: Vector3) -> AdaptedFrame:
@@ -183,47 +198,27 @@ def frame_from_orthonormal(algebra: LieAlgebra3, f1: Vector3, f2: Vector3) -> Ad
 
     No reordering or sign normalization is applied: the Reeb vector is the
     one with ``[f2, f1] = c12_1 f1 + c12_2 f2 + f0`` for this exact pair.
-    Two solves with two right-hand sides each: in the basis (f1, f2, v), for
-    v = [f2, f1], they fix f0 = v - a f1 - b f2 and so (c12_1, c12_2) = (a, b);
-    in (f1, f2, f0) they give c01, c02 and the Reeb residuals.  Raises
-    :class:`NotBracketGeneratingError` when v is tangent to the pair's span
-    or a basis is numerically singular.
+    One solve gives all six constants: [f_i, v] = q_i1 f1 + q_i2 f2 + p_i v
+    in the basis (f1, f2, v), for v = [f2, f1].  As [f1, f2] = -v, f0 =
+    v - a f1 - b f2 has [f1, f0] = [f1, v] + b v and [f2, f0] = [f2, v] - a v,
+    so the Reeb conditions give (c12_1, c12_2) = (a, b) = (p2, -p1), and
+    (c0i_1, c0i_2) = (q_i1, q_i2).  Raises :class:`NotBracketGeneratingError`
+    when v fails the contact rule of :func:`_transverse` or the basis is
+    numerically singular.
     """
-    f1 = as_vector3(f1)
-    f2 = as_vector3(f2)
+    f1, f2 = as_vector3(f1), as_vector3(f2)
     v = bracket(algebra, f2, f1)
-    if _normal_component(v, f1, f2)[0] == 0.0:
-        raise NotBracketGeneratingError(
-            "distribution is a subalgebra - not bracket generating"
-        )
+    if _transverse(v, f1, f2, algebra.scale)[0] == 0.0:
+        raise NotBracketGeneratingError(_SUBALGEBRA)
     try:
-        # v-components p_i of [f_i, v] in the basis {f1, f2, v}.  Requiring
-        # the v-components of [f_i, f0] to vanish is a 2x2 linear system;
-        # since [f2, f1] = v exactly, its equations collapse to p1 + b = 0
-        # and p2 - a = 0, never singular, so a = p2 and b = -p1.
-        p1, p2 = np.linalg.solve(
-            np.column_stack([f1, f2, v]),
-            np.column_stack([bracket(algebra, f1, v), bracket(algebra, f2, v)]),
-        )[2].tolist()
-        a, b = p2, -p1
-        f0 = v - a * f1 - b * f2
-        w = np.linalg.solve(
-            np.column_stack([f1, f2, f0]),
-            np.column_stack([bracket(algebra, f1, f0), bracket(algebra, f2, f0)]),
-        )
+        w = np.linalg.solve(np.column_stack([f1, f2, v]),
+                            np.column_stack([bracket(algebra, f1, v), bracket(algebra, f2, v)]))
     except np.linalg.LinAlgError as err:
         raise NotBracketGeneratingError(
-            "frame basis is numerically singular - not bracket generating"
-        ) from err
-    (c01_1, c02_1), (c01_2, c02_2), (r1, r2) = w.tolist()
-
-    # Both residuals vanish analytically, by the first solve, so only
-    # rounding can show up here.
-    tol = 1e-10 * (1.0 + max(1.0, abs(a), abs(b), float(np.max(np.abs(w)))))
-    if abs(r1) > tol or abs(r2) > tol:
-        raise NotBracketGeneratingError("Reeb conditions unsolvable for this plane")
-
-    return AdaptedFrame(algebra, f1, f2, f0, c01_1, c01_2, c02_1, c02_2, a, b)
+            "frame basis is numerically singular - not bracket generating") from err
+    (c01_1, c02_1), (c01_2, c02_2), (p1, p2) = w.tolist()
+    a, b = p2, -p1
+    return AdaptedFrame(algebra, f1, f2, v - a * f1 - b * f2, c01_1, c01_2, c02_1, c02_2, a, b)
 
 
 def reeb_frame(structure: SRStructure) -> AdaptedFrame:
@@ -233,26 +228,23 @@ def reeb_frame(structure: SRStructure) -> AdaptedFrame:
     [f2, f1] points toward positive first significant coordinate.  This
     makes the output independent of the order and of any constant rotation
     of the input generators, so f0 is well defined by the structure alone.
-    That transverse part is (v . n / |n|^2) n for v = [f2, f1] and
-    n = f1 x f2, so its leading sign is sign(v . n) times that of n.
+    Gram-Schmidt keeps the orientation of (v1, v2), so [f2, f1] and f1 x f2
+    are positive multiples of [v2, v1] and v1 x v2: the one bracket [v1, v2]
+    decides contact and order, and the pair is swapped when [v1, v2] . n
+    times the first significant coordinate of n = v1 x v2 is positive.
     """
-    if not check_contact(structure):
-        raise NotBracketGeneratingError(
-            "distribution is a subalgebra - not bracket generating"
-        )
+    vn, n = _plane_bracket(structure)
+    if vn == 0.0:
+        raise NotBracketGeneratingError(_SUBALGEBRA)
     f1, f2 = orthonormalize(structure)
-    vn, n = _normal_component(bracket(structure.algebra, f2, f1), f1, f2)
-    if vn * _first_significant(n) < 0:
+    if vn * _first_significant(n) > 0:
         f1, f2 = f2, f1
     return frame_from_orthonormal(structure.algebra, f1, f2)
 
 
 def _first_significant(v) -> float:
     threshold = rel_tol() * max(abs(x) for x in v)
-    for x in v:
-        if abs(x) > threshold:
-            return float(x)
-    return 0.0
+    return next((float(x) for x in v if abs(x) > threshold), 0.0)
 
 
 def rotate_frame(frame: AdaptedFrame, theta: float) -> AdaptedFrame:

@@ -538,12 +538,16 @@ def _geodesic_ends(model, alphas, h0s, t):
             a = 0.5 * t * d
             re, im = c + a * h1, a * (h2 + h0)  # row 1, w
         if model.id == "a_plus_r":  # (rho cos theta, rho sin theta, 2 phi)
-            size, m = re * re + im * im, np.rint(np.sqrt(np.maximum(-q, 0.0)) / math.pi)
+            m = np.rint(np.sqrt(np.maximum(-q, 0.0)) / math.pi)
             flip = 1.0 - 2.0 * (m % 2.0)  # (-1)^m
             sigma = np.sign(t * (h2 + h0))
             phi = m * math.pi * sigma + np.arctan2(flip * im, flip * re) - 0.5 * turn
+            # a and c over |w| before squaring: |w|^2 overflows on long
+            # hyperbolic flights, while entry (0, 2) tends to a finite limit.
+            size = np.hypot(re, im)
+            a, c = a / size, c / size
             ends = np.zeros(np.shape(phi) + (3, 3))
-            ends[..., 0, 0], ends[..., 0, 2] = 1.0 / size, 2.0 * a * (c * h2 - a * h1 * h0) / size
+            ends[..., 0, 0], ends[..., 0, 2] = 1.0 / size / size, 2.0 * a * (c * h2 - a * h1 * h0)
             ends[..., 1, 1], ends[..., 1, 2], ends[..., 2, 2] = 1.0, 2.0 * phi, 1.0
             return ends
         cos_half, sin_half = np.cos(0.5 * turn), np.sin(0.5 * turn)

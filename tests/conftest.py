@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sr3d.algebra import LieAlgebra3, bracket, change_basis, check_jacobi
-from sr3d.classify import catalog
+from sr3d.classify import catalog, catalog_entry
 from sr3d.frames import SRStructure
 from sr3d.geodesics import IntegrationBlowUpError
 
@@ -76,6 +76,16 @@ def re_present(structure: SRStructure, rng, mix_span=True,
         span = m @ span
         gram = m @ gram @ m.T
     return SRStructure(algebra, span, gram)
+
+
+# Abelian 2-planes span(e_i, e_j), [e_i, e_j] = 0, of catalog algebras.  After
+# a basis change their bracket is rounding noise of the constants' size.
+ABELIAN_PLANES = (("h3", (0, 2)), ("se2", (0, 1)), ("aplus", (1, 2)), ("solv_plus", (1, 2)))
+
+
+def abelian_plane(name: str, pair) -> SRStructure:
+    """The plane span(e_i, e_j) of the named catalog algebra, unit gram."""
+    return SRStructure(catalog_entry(name).structure.algebra, np.eye(3)[list(pair)], np.eye(2))
 
 
 def brute_force_jacobi_residual(algebra: LieAlgebra3) -> float:

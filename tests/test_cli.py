@@ -27,6 +27,8 @@ from sr3d.cli import (
 )
 from sr3d.geodesics import GeodesicState, build_model, integrate_geodesic
 
+from conftest import ABELIAN_PLANES, abelian_plane, re_present
+
 
 ABELIAN_PROBE_7919_8 = """{"name": "aplus", "brackets": [
         {"i": 0, "j": 1, "k": 0, "value": -0.5282614308232673},
@@ -112,6 +114,47 @@ class TestClassifyCommand:
         assert main(["classify", "--input", path]) == EXIT_NOT_CONTACT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("name, pair", ABELIAN_PLANES, ids=[n for n, _ in ABELIAN_PLANES])
+    def test_re_presented_abelian_plane_exit_code(self, tmp_path, capsys, name, pair):
+        rng = np.random.default_rng([32, ABELIAN_PLANES.index((name, pair))])
+        for draw in range(60):
+            path = write(tmp_path, "plane.json",
+                         structure_to_dict(name, re_present(abelian_plane(name, pair), rng)))
+            assert main(["classify", "--input", path]) == EXIT_NOT_CONTACT
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (draw, err)
+
+    @staticmethod
+    def _h3_of_size(tmp_path, value):
+        return write(tmp_path, "h3.json", {"brackets": [{"i": 0, "j": 1, "k": 2, "value": value}],
+                                           "span": [[1, 0, 0], [0, 1, 0]]})
+
+    @pytest.mark.parametrize("value", [1e200, 1e300])
+    def test_constants_whose_squares_overflow_are_one_error_line(self, tmp_path, capsys, value):
+        path = self._h3_of_size(tmp_path, value)
+        for command in ("classify", "invariants"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, "--input", path]) == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err.startswith("error: structure constants too large") and err.count("\n") == 1
+            assert f"{value:.3g}" in err, err
+
+    def test_constants_of_any_size_classify_or_are_refused(self, tmp_path, capsys):
+        path = self._h3_of_size(tmp_path, 1e150)
+        assert main(["classify", "--input", path]) == EXIT_OK
+        assert "algebra: h3" in capsys.readouterr().out
+        codes = set()
+        for k in range(100, 309):
+            path = self._h3_of_size(tmp_path, 10.0**k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["classify", "--input", path])
+            out, err = capsys.readouterr()
+            assert (code, "algebra: h3" in out) in {(EXIT_OK, True), (EXIT_PARSE, False)}, (k, err)
+            codes.add(code)
+        assert codes == {EXIT_OK, EXIT_PARSE}
 
     def test_jacobi_violation_exit_code(self, tmp_path, capsys):
         path = write(

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sr3d.algebra import LieAlgebra3
-from sr3d.classify import catalog_entry
+from sr3d.algebra import LieAlgebra3, bracket
+from sr3d.classify import catalog_entry, classify
 from sr3d.frames import (
     NotBracketGeneratingError,
     SRStructure,
@@ -17,7 +17,7 @@ from sr3d.frames import (
 )
 from sr3d.invariants import compute_chi, compute_kappa
 
-from conftest import re_present
+from conftest import ABELIAN_PLANES, abelian_plane, re_present
 
 E = np.eye(3)
 HEISENBERG = catalog_entry("h3").structure
@@ -162,6 +162,32 @@ class TestCheckContact:
         with pytest.raises(NotBracketGeneratingError, match="subalgebra"):
             reeb_frame(s)
 
+    @pytest.mark.parametrize("name, pair", ABELIAN_PLANES, ids=[n for n, _ in ABELIAN_PLANES])
+    def test_re_presented_abelian_planes_are_rejected(self, name, pair):
+        # The bracket of each draw is rounding noise, not exactly zero, and
+        # often leaves the plane: only its size, against the constants', tells.
+        rng = np.random.default_rng([30, ABELIAN_PLANES.index((name, pair))])
+        for draw in range(60):
+            s = re_present(abelian_plane(name, pair), rng)
+            assert not check_contact(s), draw
+            with pytest.raises(NotBracketGeneratingError, match="subalgebra"):
+                classify(s)
+
+    def test_verdict_is_blind_to_the_size_of_constants_and_generators(self, entries):
+        rng = np.random.default_rng(31)
+        cases = [(e.structure, True) for e in entries]
+        cases += [(re_present(abelian_plane(*plane), rng), False)
+                  for plane in ABELIAN_PLANES for _ in range(5)]
+        for structure, contact in cases:
+            for k in range(-150, 151, 50):
+                scaled = SRStructure(LieAlgebra3(structure.algebra.c * 10.0**k),
+                                     structure.span, structure.gram)
+                for j in range(-150, 151, 50):
+                    # SRStructure's rank test is absolute and refuses rows
+                    # below ~1e-12, so the rescaled rows are set on a copy.
+                    object.__setattr__(scaled, "span", structure.span * 10.0**j)
+                    assert check_contact(scaled) is contact, (k, j)
+
 
 class TestReebFrame:
     def test_heisenberg(self):
@@ -241,6 +267,39 @@ class TestReebFrame:
             assert np.max(np.abs(fr0.f0 - fr1.f0)) <= 1e-10, entry.name
             assert compute_chi(fr1) == pytest.approx(compute_chi(fr0), abs=1e-12)
             assert compute_kappa(fr1) == pytest.approx(compute_kappa(fr0), abs=1e-12)
+
+
+def _second_solve(frame):
+    """[f1, f0] and [f2, f0] as columns in the basis (f1, f2, f0)."""
+    alg, f1, f2, f0 = frame.algebra, frame.f1, frame.f2, frame.f0
+    return np.linalg.solve(np.column_stack([f1, f2, f0]),
+                           np.column_stack([bracket(alg, f1, f0), bracket(alg, f2, f0)]))
+
+
+class TestOneSolve:
+    def test_constants_match_a_second_solve_in_the_reeb_basis(self, entries):
+        # The catalog and criterion 2's presentations: rotations of the
+        # generators and re-presentations in turn, each frame from
+        # reeb_frame and, where chi > 0, its canonical frame.
+        rng = np.random.default_rng(1201)
+        frames = []
+        for entry in entries:
+            frames += [reeb_frame(entry.structure), classify(entry.structure).frame]
+            for trial in range(100):
+                if trial % 2 == 0:
+                    theta = rng.uniform(0, 2 * math.pi)
+                    c, s = math.cos(theta), math.sin(theta)
+                    presented = SRStructure(entry.structure.algebra,
+                                            np.array([[c, s], [-s, c]]) @ entry.structure.span,
+                                            entry.structure.gram)
+                else:
+                    presented = re_present(entry.structure, rng)
+                frames += [reeb_frame(presented), classify(presented).frame]
+        for fr in frames:
+            w = _second_solve(fr)
+            want = [[fr.c01_1, fr.c02_1], [fr.c01_2, fr.c02_2]]
+            assert np.max(np.abs(w[:2] - want)) <= 1e-12 * fr.scale, fr.constants
+            assert np.max(np.abs(w[2])) <= 1e-12 * fr.scale, fr.constants
 
 
 class TestRotateFrame:

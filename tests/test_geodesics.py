@@ -569,6 +569,20 @@ class TestWrittenOutKernels:
             gap = np.abs(_geodesic_ends(model, alpha, h0, t) - want) / (1.0 + np.abs(want))
             assert np.max(gap) <= 1e-9, (alpha, h0, t, np.max(gap))
 
+    def test_a_plus_r_on_very_long_hyperbolic_flights(self, models):
+        # At h0 = 0 entry (0, 2) tends to h2 / (1 + h1).  |row 1|^2 overflows
+        # past t ~ 710, but the entry must stay at its limit, with no
+        # warning, until cosh(t / 2) itself overflows.
+        model, alpha = models["a_plus_r"], 0.7
+        limit = math.sin(alpha) / (1.0 + math.cos(alpha))
+        t = np.array([600.0, 710.0, 720.0, 1000.0, 1400.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ends = _geodesic_ends(model, alpha, 0.0, t)
+            single = [_geodesic_ends(model, alpha, 0.0, s) for s in t]
+        assert np.array_equal(np.array(single), ends)
+        assert np.max(np.abs(ends[:, 0, 2] - limit)) <= 1e-12, ends[:, 0, 2]
+
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_a_plus_r_where_the_half_turn_count_switches(self, models, m):
         # m = rint(sqrt(-q) / pi) steps up at sqrt(-q) / pi = m + 1/2; the
