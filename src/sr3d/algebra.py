@@ -10,7 +10,7 @@ classes that admit left-invariant contact structures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Tuple
 
 import numpy as np
@@ -56,6 +56,9 @@ class LieAlgebra3:
     """
 
     c: np.ndarray
+    # Largest absolute structure constant (0 for the abelian algebra): the
+    # one scale of every zero test on the algebra, set at construction.
+    scale: float = field(init=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -74,6 +77,7 @@ class LieAlgebra3:
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "scale", size)
 
     @classmethod
     def from_brackets(
@@ -97,11 +101,6 @@ class LieAlgebra3:
             seen[key] = signed
             c[key] = signed
         return cls(c - np.swapaxes(c, 0, 1))
-
-    @property
-    def scale(self) -> float:
-        """Largest absolute structure constant (0 for the abelian algebra)."""
-        return float(np.max(np.abs(self.c)))
 
     def basis_vector(self, i: int) -> Vector3:
         e = np.zeros(3)
@@ -128,9 +127,9 @@ class JacobiReport:
 
 
 def jacobi_tolerance(algebra: LieAlgebra3) -> float:
-    # The Jacobi sum is quadratic in the constants, so the rounding floor
-    # scales with (1 + max|c|)^2.
-    return 1e-12 * (1.0 + algebra.scale) ** 2
+    # The Jacobi sum is quadratic in the constants, so its rounding error is
+    # relative to max|c|^2: constants scaled by any factor get the same verdict.
+    return 1e-12 * algebra.scale**2
 
 
 def check_jacobi(algebra: LieAlgebra3) -> JacobiReport:
@@ -156,7 +155,7 @@ def killing_form(algebra: LieAlgebra3) -> np.ndarray:
 def is_unimodular(algebra: LieAlgebra3) -> bool:
     """True iff trace(ad x) = 0 for every x, within tolerance."""
     traces = np.einsum("ijj->i", algebra.c)
-    return bool(np.max(np.abs(traces)) <= rel_tol() * (1.0 + algebra.scale))
+    return bool(np.max(np.abs(traces)) <= rel_tol() * algebra.scale)
 
 
 def change_basis(algebra: LieAlgebra3, b: np.ndarray) -> LieAlgebra3:
@@ -177,9 +176,8 @@ def derived_subalgebra(algebra: LieAlgebra3) -> np.ndarray:
     gens = np.array(
         [algebra.c[0, 1], algebra.c[0, 2], algebra.c[1, 2]]
     )
-    scale = max(1.0, algebra.scale)
     u, s, vt = np.linalg.svd(gens)
-    rank = int(np.sum(s > rel_tol() * scale))
+    rank = int(np.sum(s > rel_tol() * algebra.scale))
     return vt[:rank]
 
 
@@ -198,8 +196,8 @@ def identify_algebra(algebra: LieAlgebra3) -> str:
 
     Never raises: anything that fits no pattern is labelled "other".
     """
-    scale = max(1.0, algebra.scale)
-    tol = rel_tol() * scale
+    eps = rel_tol()
+    tol = eps * algebra.scale
     derived = derived_subalgebra(algebra)
     dim = derived.shape[0]
 
@@ -213,15 +211,15 @@ def identify_algebra(algebra: LieAlgebra3) -> str:
 
     if dim == 2:
         # Pick the unit vector orthogonal to the derived plane as the
-        # complement; ad of it preserves the plane (an ideal).
-        normal = _unit_normal(derived)
-        a_op = derived @ ad_matrix(algebra, normal) @ derived.T
+        # complement; ad of it preserves the plane (an ideal).  The rank-2
+        # test keeps that action nonzero; it is read divided by its largest entry.
+        a_op = derived @ ad_matrix(algebra, np.cross(*derived)) @ derived.T
+        a_op /= np.max(np.abs(a_op))
         det = float(np.linalg.det(a_op))
         trace = float(np.trace(a_op))
-        op_scale = max(1.0, float(np.max(np.abs(a_op))))
-        if abs(det) <= rel_tol() * op_scale**2:
+        if abs(det) <= eps:
             return OTHER
-        if abs(trace) <= rel_tol() * op_scale:
+        if abs(trace) <= eps:
             return SE2 if det > 0 else SH2
         return SOLV_PLUS if det > 0 else SOLV_MINUS
 
@@ -235,14 +233,3 @@ def identify_algebra(algebra: LieAlgebra3) -> str:
         return OTHER
     return SL2
 
-
-def _unit_normal(plane_basis: np.ndarray) -> Vector3:
-    """Unit vector orthogonal to a 2-plane given by orthonormal rows."""
-    n = np.cross(plane_basis[0], plane_basis[1])
-    return n / np.linalg.norm(n)
-
-
-def restrict_bilinear(form: np.ndarray, v1: Vector3, v2: Vector3) -> np.ndarray:
-    """2x2 restriction of a symmetric bilinear form to span{v1, v2}."""
-    v = np.array([v1, v2])
-    return v @ form @ v.T

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import algebra as alg
-from .algebra import LieAlgebra3, identify_algebra, killing_form, restrict_bilinear
+from .algebra import LieAlgebra3, identify_algebra, killing_form
 from .config import rel_tol
 from .frames import AdaptedFrame, SRStructure, reeb_frame
 from .invariants import canonical_frame, compute_chi, compute_kappa, normalize
@@ -79,10 +79,12 @@ def _class_id(chi: float, kappa: float, algebra_label: str) -> str:
 
 
 def _sl2_metric_split(structure: SRStructure) -> str:
-    """Elliptic vs hyperbolic sl(2): sign-definiteness of Killing on the plane."""
-    k = killing_form(structure.algebra)
-    kr = restrict_bilinear(k, structure.v1, structure.v2)
-    det = float(np.linalg.det(kr))
+    """Elliptic vs hyperbolic sl(2): sign-definiteness of Killing on the plane,
+    on constants and generators divided by their largest entries, so that
+    the determinant neither underflows nor overflows."""
+    algebra = LieAlgebra3(structure.algebra.c / structure.algebra.scale)
+    v = structure.span / np.max(np.abs(structure.span), axis=1, keepdims=True)
+    det = float(np.linalg.det(v @ killing_form(algebra) @ v.T))
     return SL2_ELLIPTIC if det > 0 else SL2_HYPERBOLIC
 
 
@@ -91,18 +93,16 @@ def classify(structure: SRStructure) -> ClassLabel:
     frame = reeb_frame(structure)
     raw_chi = compute_chi(frame)
     raw_kappa = compute_kappa(frame)
-    scale = frame.scale
-    tol = rel_tol() * scale
 
-    if raw_chi <= tol:
+    if raw_chi <= rel_tol() * frame.scale:
         label, case = identify_algebra(structure.algebra), "chi=0"
         if label == alg.SL2:
             label = _sl2_metric_split(structure)
         # With chi snapped to 0 the normalized pair is exactly (0, 0) or (0, +-1).
-        inv = normalize(0.0, raw_kappa, scale)
+        inv = normalize(0.0, raw_kappa, frame.scale)
     else:
         frame = canonical_frame(frame)
-        inv = normalize(compute_chi(frame), compute_kappa(frame), scale)
+        inv = normalize(compute_chi(frame), compute_kappa(frame), frame.scale)
         label, case = _chi_positive_case(frame)
 
     return ClassLabel(
@@ -122,8 +122,8 @@ def _chi_positive_case(canon: AdaptedFrame) -> Tuple[str, str]:
     """(label, case) from the zero pattern of the canonical-frame constants."""
     ctol = rel_tol() * canon.scale
     c01_2, c02_1 = canon.c01_2, canon.c02_1
-    z12_1 = abs(canon.c12_1) <= ctol
-    z12_2 = abs(canon.c12_2) <= ctol
+    z12_1 = abs(canon.c12_1) <= ctol / canon.unit
+    z12_2 = abs(canon.c12_2) <= ctol / canon.unit
     z01_2 = abs(c01_2) <= ctol
     z02_1 = abs(c02_1) <= ctol
 
@@ -154,6 +154,8 @@ def solvable_ratio_check(frame: AdaptedFrame, label: str) -> float:
     has trace -c12_2 and determinant c01_2, and 2 trace(A)^2 / det(A) must
     equal 1 - kappa/chi.  For solv- the action of f2 on span{f0, f1} obeys
     the mirrored relation with 1 + kappa/chi.  Returns the absolute gap.
+    The f1 and f2 coordinates tested for zero have degrees 2 and 1, and
+    det(A) degree 2, each against the frame's scale of that degree.
     """
     if label not in (alg.SOLV_PLUS, alg.SOLV_MINUS):
         raise ValueError(f"ratio check only applies to solvable labels, got {label}")
@@ -168,20 +170,20 @@ def solvable_ratio_check(frame: AdaptedFrame, label: str) -> float:
     if label == alg.SOLV_PLUS:
         w_f0 = coords(frame.f1, frame.f0)
         w_f2 = coords(frame.f1, frame.f2)
-        if max(abs(w_f0[0]), abs(w_f2[0])) > tol:
+        if abs(w_f0[0]) > tol or abs(w_f2[0]) > tol / frame.unit:
             raise ValueError("frame is not canonical for solv+")
         a = np.array([[w_f0[2], w_f2[2]], [w_f0[1], w_f2[1]]])
         expected = 1.0 - kappa / chi
     else:
         w_f0 = coords(frame.f2, frame.f0)
         w_f1 = coords(frame.f2, frame.f1)
-        if max(abs(w_f0[1]), abs(w_f1[1])) > tol:
+        if abs(w_f0[1]) > tol or abs(w_f1[1]) > tol / frame.unit:
             raise ValueError("frame is not canonical for solv-")
         a = np.array([[w_f0[2], w_f1[2]], [w_f0[0], w_f1[0]]])
         expected = 1.0 + kappa / chi
 
     det = float(np.linalg.det(a))
-    if abs(det) <= rel_tol() * frame.scale**2:
+    if abs(det) <= tol:
         raise ValueError("adjoint action on the derived plane is degenerate")
     ratio = 2.0 * float(np.trace(a)) ** 2 / det
     return abs(ratio - expected)

@@ -1,9 +1,13 @@
 """Global numerical tolerance handling.
 
-Every "is this coefficient zero" decision in the library is made relative to
-a scale (largest structure constant in play) times a single relative
-tolerance.  The default is 1e-9 and can be overridden through the SR3D_TOL
-environment variable.
+Every "is this zero" decision of the classification is ``rel_tol()`` times
+one scale of the object it is made on, and that scale has the degree of the
+quantity tested, with no absolute floor: ``LieAlgebra3.scale`` (max|c|) for
+the algebra, and for an adapted frame ``AdaptedFrame.scale``, of degree 2 as
+chi and kappa are (c12 is tested against ``scale / unit``).  Scaling the
+metric or the constants by any factor therefore gives the same label.  The
+default is 1e-9 and can be overridden through the SR3D_TOL environment
+variable, the only tolerance setting.
 """
 
 import os

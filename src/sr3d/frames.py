@@ -19,7 +19,7 @@ yields all six constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -73,8 +73,9 @@ class SRStructure:
     def __post_init__(self):
         # Rank, symmetry and definiteness are closed forms on plain floats,
         # since on 2x3 and 2x2 inputs numpy's per-call cost is most of the
-        # work.  Thresholds are those of numpy's matrix_rank / eigvalsh test;
-        # entries are divided by the largest one so nothing can overflow.
+        # work.  Each threshold is 1e-12 relative to the largest entry, and
+        # entries are divided by it: the verdict is blind to scaling and
+        # nothing can overflow.
         span = np.asarray(self.span, dtype=float)
         if span.shape != (2, 3):
             raise ValueError(f"span must hold two 3-vectors, got shape {span.shape}")
@@ -82,7 +83,7 @@ class SRStructure:
         if not all(map(math.isfinite, entries)):
             raise ValueError("span coefficients must be finite")
         m = max(map(abs, entries))
-        if m == 0.0 or _span_sigma2(*(x / m for x in entries)) <= 1e-12 * max(1.0 / m, 1.0):
+        if m == 0.0 or _span_sigma2(*(x / m for x in entries)) <= 1e-12:
             raise ValueError("span vectors are linearly dependent")
         gram = np.asarray(self.gram, dtype=float)
         if gram.shape != (2, 2):
@@ -91,12 +92,12 @@ class SRStructure:
         if not all(map(math.isfinite, (g00, g01, g10, g11))):
             raise ValueError("gram entries must be finite")
         m = max(abs(g00), abs(g01), abs(g10), abs(g11))
-        if not abs(g01 - g10) <= 1e-12 * (1 + m):
+        if not abs(g01 - g10) <= 1e-12 * m:
             raise ValueError("gram matrix must be symmetric")
         if m == 0.0:
             raise ValueError("gram matrix must be positive definite")
         low, high = _sym2_eigenvalues(g00 / m, 0.5 * (g01 / m + g10 / m), g11 / m)
-        if low <= 1e-12 * max(1.0 / m, high):
+        if low <= 1e-12 * high:
             raise ValueError("gram matrix must be positive definite")
         span = span.copy()
         span.flags.writeable = False
@@ -118,7 +119,13 @@ class SRStructure:
 
 @dataclass(frozen=True)
 class AdaptedFrame:
-    """Orthonormal pair (f1, f2) plus Reeb vector f0 and frame constants."""
+    """Orthonormal pair (f1, f2) plus Reeb vector f0 and frame constants.
+
+    A dilation scales the c0i_j by lambda^2, and the c12_j and |f0| / |f1| by
+    lambda.  ``unit`` is the power of two nearest |f0| / |f1|, and ``scale``
+    = unit^2 + max(|c0i_j|, unit |c12_j|) the frame's one degree-2 scale for
+    zero tests (c12 is tested against scale / unit), both set at construction.
+    """
 
     algebra: LieAlgebra3
     f1: Vector3
@@ -130,21 +137,24 @@ class AdaptedFrame:
     c02_2: float
     c12_1: float
     c12_2: float
+    unit: float = field(init=False)
+    scale: float = field(init=False)
 
     def __post_init__(self):
         for name in ("f1", "f2", "f0"):
             v = np.asarray(getattr(self, name), dtype=float).copy()
             v.flags.writeable = False
             object.__setattr__(self, name, v)
+        mant, exp = math.frexp(math.hypot(*self.f0.tolist()) / math.hypot(*self.f1.tolist()))
+        u = math.ldexp(1.0, exp - (mant * mant < 0.5))
+        object.__setattr__(self, "unit", u)
+        object.__setattr__(self, "scale", u * u + max(
+            abs(self.c01_1), abs(self.c01_2), abs(self.c02_1), abs(self.c02_2),
+            u * abs(self.c12_1), u * abs(self.c12_2)))
 
     @property
     def constants(self) -> Tuple[float, float, float, float, float, float]:
         return (self.c01_1, self.c01_2, self.c02_1, self.c02_2, self.c12_1, self.c12_2)
-
-    @property
-    def scale(self) -> float:
-        """1 + largest absolute frame constant; reference for zero tests."""
-        return 1.0 + max(abs(c) for c in self.constants)
 
 
 def orthonormalize(structure: SRStructure) -> Tuple[Vector3, Vector3]:
@@ -260,7 +270,7 @@ def rotate_frame(frame: AdaptedFrame, theta: float) -> AdaptedFrame:
     rotated = frame_from_orthonormal(frame.algebra, f1, f2)
     # Rotations have determinant one, so [f2', f1'] = [f2, f1] and the Reeb
     # vector must come back unchanged.
-    atol = 1e-9 * (1.0 + float(np.linalg.norm(frame.f0)))
+    atol = 1e-9 * float(np.linalg.norm(frame.f0))
     if not np.allclose(rotated.f0, frame.f0, atol=atol, rtol=0):
         raise AssertionError("rotation changed the Reeb vector")
     return rotated

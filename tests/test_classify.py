@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sr3d.algebra import SE2, SH2, SOLV_MINUS, SOLV_PLUS, SU2, is_unimodular
+from sr3d.algebra import SE2, SH2, SOLV_MINUS, SOLV_PLUS, SU2, LieAlgebra3, is_unimodular
 from sr3d.classify import (
     SL2_ELLIPTIC,
     SL2_HYPERBOLIC,
@@ -16,7 +16,7 @@ from sr3d.classify import (
 )
 import sr3d.frames
 import sr3d.invariants
-from sr3d.frames import check_contact, reeb_frame
+from sr3d.frames import SRStructure, check_contact, reeb_frame
 from sr3d.invariants import canonical_frame, compute_chi, compute_kappa
 
 from conftest import frame_structure, re_present
@@ -224,19 +224,31 @@ def test_classify_builds_each_frame_once_without_qr(monkeypatch, entries, rng):
     assert most == 2
 
 
+def dilations(structure):
+    """(gram x 10^k, constants x 10^k) for k in -150, -140, ..., 150: both
+    rescale (chi, kappa) and leave the normalised pair alone."""
+    algebra, span, gram = structure.algebra, structure.span, structure.gram
+    for k in range(-150, 151, 10):
+        yield SRStructure(algebra, span, gram * 10.0**k)
+        yield SRStructure(LieAlgebra3(algebra.c * 10.0**k), span, gram)
+
+
 class TestStability:
     def test_labels_invariant_under_presentation_changes(self, entries, rng):
+        # Re-presentations to 1e-9, then dilations to 1e-12.  Tier-1 makes
+        # every RuntimeWarning an error, so an under- or overflow (in the
+        # sl(2) split's determinant, say) fails here too.
         for entry in entries:
             expected = classify(entry.structure)
-            for _ in range(50):
-                s = re_present(entry.structure, rng)
+            presented = [(re_present(entry.structure, rng), 1e-9) for _ in range(50)]
+            for s, tol in presented + [(d, 1e-12) for d in dilations(entry.structure)]:
                 assert check_contact(s), entry.name
                 label = classify(s)
                 assert label.algebra == expected.algebra, entry.name
                 assert label.case == expected.case, entry.name
                 assert label.isometry_class_id == expected.isometry_class_id, entry.name
-                assert label.chi == pytest.approx(expected.chi, abs=1e-9)
-                assert label.kappa == pytest.approx(expected.kappa, abs=1e-9)
+                assert label.chi == pytest.approx(expected.chi, abs=tol)
+                assert label.kappa == pytest.approx(expected.kappa, abs=tol)
 
     def test_at_most_three_classes_per_point_one_unimodular(self, entries):
         groups = {}

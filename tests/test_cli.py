@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sr3d import cli
+from sr3d.algebra import LieAlgebra3
 from sr3d.classify import catalog, classify
+from sr3d.frames import SRStructure
 from sr3d.cli import (
     EXIT_CERTIFICATION,
     EXIT_INTEGRATION,
@@ -169,6 +171,14 @@ class TestClassifyCommand:
             },
         )
         assert main(["classify", "--input", path]) == EXIT_JACOBI
+
+    def test_small_jacobi_violation_exit_code(self, tmp_path):
+        # A random tensor breaks Jacobi by a residual of order max|c|^2: here
+        # ~1.2e-14, which a tolerance not scaled with max|c|^2 would pass.
+        c = np.random.default_rng(2).normal(size=(3, 3, 3))
+        algebra = LieAlgebra3(1e-7 * (c - np.swapaxes(c, 0, 1)))
+        payload = structure_to_dict("small", SRStructure(algebra, np.eye(3)[:2], np.eye(2)))
+        assert main(["classify", "--input", write(tmp_path, "small.json", payload)]) == EXIT_JACOBI
 
     def test_non_finite_gram_is_one_error_line(self, tmp_path, capsys):
         path = write(
@@ -532,18 +542,40 @@ class TestCertifyCommand:
         assert "psi_consistency" not in out
 
 
+SAMPLES = pathlib.Path(__file__).resolve().parents[1] / "sample_structures"
+
+
 class TestSampleFiles:
     def test_shipped_examples_parse_and_classify(self, capsys):
-        root = pathlib.Path(__file__).resolve().parents[1] / "sample_structures"
-        heis = root / "heisenberg.json"
+        heis = SAMPLES / "heisenberg.json"
         assert main(["classify", "--input", str(heis), "--json"]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert data["algebra"] == "h3"
-        assert main(["classify", "--input", str(root / "abelian.json")]) == EXIT_NOT_CONTACT
+        assert main(["classify", "--input", str(SAMPLES / "abelian.json")]) == EXIT_NOT_CONTACT
         capsys.readouterr()
-        assert main(["classify", "--input", str(root / "aplus.json"), "--json"]) == EXIT_OK
+        assert main(["classify", "--input", str(SAMPLES / "aplus.json"), "--json"]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert data["kappa"] == -1.0
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SAMPLES.glob("*.json")))
+    def test_dilated_examples_give_the_same_normalised_invariants(self, tmp_path, capsys, name):
+        data = json.loads((SAMPLES / name).read_text())
+
+        def invariants(payload):
+            code = main(["invariants", "--input", write(tmp_path, name, payload), "--json"])
+            out = capsys.readouterr().out
+            return code, json.loads(out) if code == EXIT_OK else None
+
+        code, want = invariants(data)
+        gram = np.asarray(data.get("gram", np.eye(2)))
+        for k in (-150, -70, 70, 150):
+            rows = [{**row, "value": row["value"] * 10.0**k} for row in data["brackets"]]
+            for dilated in ({**data, "gram": (gram * 10.0**k).tolist()}, {**data, "brackets": rows}):
+                got_code, got = invariants(dilated)
+                assert got_code == code, (k, dilated)
+                if code == EXIT_OK:
+                    assert got["chi"] == pytest.approx(want["chi"], abs=1e-12), k
+                    assert got["kappa"] == pytest.approx(want["kappa"], abs=1e-12), k
 
 
 def test_render_json_maps_non_finite_floats_to_null():

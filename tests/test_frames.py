@@ -81,14 +81,16 @@ class TestOrthonormalize:
 def _numpy_verdict(span, gram):
     """Which check rejects (span, gram), by numpy rank and eigenvalue tests.
 
-    The reference for SRStructure's closed forms, with the same thresholds.
+    The reference for SRStructure's closed forms, with the same thresholds:
+    1e-12 relative to the largest entry or eigenvalue, so scaling the span
+    or the gram by any factor leaves the verdict alone.
     """
-    if np.linalg.matrix_rank(span, tol=1e-12 * max(1.0, np.max(np.abs(span)))) < 2:
+    if np.linalg.matrix_rank(span, tol=1e-12 * np.max(np.abs(span))) < 2:
         return "linearly dependent"
-    if not np.allclose(gram, gram.T, rtol=0, atol=1e-12 * (1 + np.max(np.abs(gram)))):
+    if not np.allclose(gram, gram.T, rtol=0, atol=1e-12 * np.max(np.abs(gram))):
         return "symmetric"
     eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
+    if eigs[0] <= 1e-12 * eigs[-1]:
         return "positive definite"
     return "accepted"
 
@@ -97,8 +99,10 @@ class TestStructureChecks:
     def test_verdicts_match_numpy_rank_and_eigenvalue_tests(self, rng):
         # Near-dependent spans and near-singular or slightly asymmetric grams,
         # with entries from 1e-300 to 1e300, so every verdict is reached
-        # close to its threshold and far from it.
-        seen = set()
+        # close to its threshold and far from it; first two tiny inputs that
+        # only a threshold relative to their own size accepts.
+        cases = [(1e-13 * E[:2], np.eye(2)), (E[:2], 1e-300 * np.eye(2))]
+        assert [_numpy_verdict(*case) for case in cases] == ["accepted"] * 2
         for trial in range(4000):
             v1 = rng.normal(size=3)
             near = 10.0 ** rng.uniform(-20, 0) * rng.normal(size=3)
@@ -112,6 +116,9 @@ class TestStructureChecks:
             if trial % 7 == 0:
                 gram[0, 1] += 10.0 ** rng.uniform(-20, 0)
             gram *= 10.0 ** rng.integers(-300, 300)
+            cases.append((span, gram))
+        seen = set()
+        for span, gram in cases:
             want = _numpy_verdict(span, gram)
             try:
                 SRStructure(HEISENBERG.algebra, span, gram)
@@ -180,12 +187,9 @@ class TestCheckContact:
                   for plane in ABELIAN_PLANES for _ in range(5)]
         for structure, contact in cases:
             for k in range(-150, 151, 50):
-                scaled = SRStructure(LieAlgebra3(structure.algebra.c * 10.0**k),
-                                     structure.span, structure.gram)
+                algebra = LieAlgebra3(structure.algebra.c * 10.0**k)
                 for j in range(-150, 151, 50):
-                    # SRStructure's rank test is absolute and refuses rows
-                    # below ~1e-12, so the rescaled rows are set on a copy.
-                    object.__setattr__(scaled, "span", structure.span * 10.0**j)
+                    scaled = SRStructure(algebra, structure.span * 10.0**j, structure.gram)
                     assert check_contact(scaled) is contact, (k, j)
 
 
