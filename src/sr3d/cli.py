@@ -47,6 +47,7 @@ EXIT_CERTIFICATION = 6
 # Largest `geodesic --steps`: the trajectory it keeps is 8 bytes per float,
 # (4 + 9) floats a step on a 3x3 model, ~1 GB at this bound.
 MAX_STEPS = 10**7
+_MAX_SAMPLES = 150_000  # certify-isometry: ~6.5 KB of peak memory a sample, ~1 GB
 
 
 class StructureParseError(ValueError):
@@ -419,6 +420,8 @@ PSI_MUTANTS = {
 def cmd_certify_isometry(args) -> int:
     if args.samples < 0:
         raise StructureParseError(f"--samples must be >= 0, got {args.samples}")
+    if args.samples > _MAX_SAMPLES:
+        raise StructureParseError(f"--samples must be <= {_MAX_SAMPLES}, got {args.samples}")
     if args.seed < 0:
         raise StructureParseError(f"--seed must be >= 0, got {args.seed}")
     psi = isometry.psi_entries
@@ -510,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("certify-isometry", help="run the isometry certification")
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=int, default=50, help=f"0 to {_MAX_SAMPLES}")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument(
         "--mutate",

@@ -28,6 +28,11 @@ that make Psi well defined on the quotient by z -> z + 4 pi, and the
 closed-form inverse (phi = atan2(m12, m11), theta - phi = atan2(m21, m22),
 rho = cos theta (m21^2 + m22^2)), whose round trip on a grid of the
 fundamental domain certifies that Psi is injective there.
+
+The closed forms (chart points, ``polar``, ``map_F``, ``map_F_inv``, ``map_G``,
+Psi, ``psi_consistency``) take floats or arrays.  The randomized rows of
+:func:`run_certification` draw in row order, one array each but for the Nagano
+schedules; the three Psi rows check their shared draw in one array pass.
 """
 
 from __future__ import annotations
@@ -55,24 +60,36 @@ _FD_STEP = 1e-4
 _FLOW_STEPS = 8
 _ROUND_TRIP_GRID = 50
 
+# The (lo, hi) box of (x, y, z) that random chart points are drawn from.
+_POINT_BOX = ((-2.0, 2.0), (-2.5, -0.4), (-2.5, 2.5))
+
+
+def _draw(rng: np.random.Generator, n: int, box) -> np.ndarray:
+    """n rows, column j uniform on box[j] = (lo, hi) as lo + (hi - lo) u: bit
+    for bit n rounds of sequential ``rng.uniform(lo, hi)``, one per column,
+    and ``rng`` is left in the same state."""
+    lo, hi = np.array(box).T
+    return lo + (hi - lo) * rng.random((n, len(box)))
+
 
 @dataclass(frozen=True)
 class APoint:
-    """Cartesian coordinates on the affine model; y < 0 strictly."""
+    """Cartesian coordinates on the affine model, floats or arrays of one
+    shape; y < 0 strictly, entrywise."""
 
     x: float
     y: float
     z: float
 
     def __post_init__(self):
-        if not self.y < 0:
+        if not np.all(self.y < 0):  # a NaN fails too
             raise ValueError(f"APoint requires y < 0, got y = {self.y}")
 
 
-def polar(p: APoint) -> Tuple[float, float]:
+def polar(p: APoint):
     """(rho, theta) with x = rho sin(theta), y = -rho cos(theta); theta is
     measured from the -y axis, so rho > 0 and |theta| < pi/2."""
-    return math.hypot(p.x, p.y), math.atan2(p.x, -p.y)
+    return np.hypot(p.x, p.y), np.arctan2(p.x, -p.y)
 
 
 # --- group operations on the affine model -----------------------------------
@@ -91,6 +108,10 @@ def matrix_to_apoint(g: np.ndarray) -> APoint:
 
 # --- coordinate frame ----------------------------------------------------------
 
+# The controls whose chart fields are f0, fhat1 and fhat2.
+_UNIT_CONTROLS = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+
+
 def _chart_rhs(u, x, y, z):
     """u1 fhat1 + u2 fhat2 + u0 f0 at (x, y, z), for the control u = (u1, u2, u0)."""
     u1, u2, u0 = u
@@ -100,49 +121,47 @@ def _chart_rhs(u, x, y, z):
 
 def frame_hat(p: APoint) -> Tuple[np.ndarray, np.ndarray]:
     """The rotated orthonormal frame in (dx, dy, dz): :func:`_chart_rhs` at unit controls."""
-    return (np.array(_chart_rhs((1.0, 0.0, 0.0), p.x, p.y, p.z)),
-            np.array(_chart_rhs((0.0, 1.0, 0.0), p.x, p.y, p.z)))
+    return tuple(np.array(_chart_rhs(u, p.x, p.y, p.z)) for u in _UNIT_CONTROLS[1:])
 
 
 def f0_chart() -> np.ndarray:
     """The Reeb field -d/dz in chart components (constant: read at the identity)."""
-    return np.array(_chart_rhs((0.0, 0.0, 1.0), 0.0, -1.0, 0.0))
+    return np.array(_chart_rhs(_UNIT_CONTROLS[0], 0.0, -1.0, 0.0))
 
 
 # --- endpoint maps ------------------------------------------------------------
 
-def map_F(t1: float, t2: float, t0: float) -> APoint:
+def map_F(t1, t2, t0) -> APoint:
     """Endpoint of the composed frame flows (rescaled by 2) on the affine model."""
-    tau = math.tanh(t2)
-    s = math.exp(-2.0 * t1)
+    tau = np.tanh(t2)
+    s = np.exp(-2.0 * t1)
     d = 1.0 + tau * tau
-    return APoint(
-        2.0 * s * tau / d,
-        -s * (1.0 - tau * tau) / d,
-        2.0 * (math.atan(tau) - t0),
-    )
+    return APoint(2.0 * s * tau / d, -s * (1.0 - tau * tau) / d, 2.0 * (np.arctan(tau) - t0))
 
 
-def map_F_inv(p: APoint) -> Tuple[float, float, float]:
+def map_F_inv(p: APoint):
     """Closed-form inverse of :func:`map_F`; defined on the whole half-space."""
     rho, theta = polar(p)
-    return -0.5 * math.log(rho), math.atanh(math.tan(0.5 * theta)), 0.5 * (theta - p.z)
+    return -0.5 * np.log(rho), np.arctanh(np.tan(0.5 * theta)), 0.5 * (theta - p.z)
 
 
-def map_G(t1: float, t2: float, t0: float) -> np.ndarray:
-    """Product of the three exponential factors on the SL(2) side.
+def _matrix(m11, m12, m21, m22) -> np.ndarray:
+    """The 2x2 matrices, shape (..., 2, 2), of four broadcasting entries."""
+    out = np.empty(np.broadcast(m11, m12, m21, m22).shape + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = m11, m12, m21, m22
+    return out
+
+
+def map_G(t1, t2, t0) -> np.ndarray:
+    """Product of the three exponential factors on the SL(2) side, written out.
 
     diag(e^t1, e^-t1) . [[cosh t2, sinh t2], [sinh t2, cosh t2]]
     . [[cos t0, -sin t0], [sin t0, cos t0]]; each factor has determinant 1.
     """
-    first = np.array([[math.exp(t1), 0.0], [0.0, math.exp(-t1)]])
-    second = np.array(
-        [[math.cosh(t2), math.sinh(t2)], [math.sinh(t2), math.cosh(t2)]]
-    )
-    third = np.array(
-        [[math.cos(t0), -math.sin(t0)], [math.sin(t0), math.cos(t0)]]
-    )
-    return first @ second @ third
+    up, down, ch, sh = np.exp(t1), np.exp(-t1), np.cosh(t2), np.sinh(t2)
+    a, b, d, e = up * ch, up * sh, down * sh, down * ch  # the first two factors' product
+    c, s = np.cos(t0), np.sin(t0)
+    return _matrix(a * c + b * s, b * c - a * s, d * c + e * s, e * c - d * s)
 
 
 def psi_entries(rho, theta, phi, signs=(1.0, 1.0, 1.0, 1.0), arg_sign=1.0):
@@ -164,9 +183,9 @@ def psi_entries(rho, theta, phi, signs=(1.0, 1.0, 1.0, 1.0), arg_sign=1.0):
 PsiFn = Callable[..., Tuple[float, float, float, float]]
 
 
-def map_Psi(rho: float, theta: float, phi: float, psi: PsiFn = psi_entries) -> np.ndarray:
-    """The global isometry: the 2x2 matrix of the entries ``psi`` gives."""
-    return np.array(psi(rho, theta, phi)).reshape(2, 2)
+def map_Psi(rho, theta, phi, psi: PsiFn = psi_entries) -> np.ndarray:
+    """The global isometry: the 2x2 matrices of the entries ``psi`` gives."""
+    return _matrix(*psi(rho, theta, phi))
 
 
 def psi_of_apoint(p: APoint, psi: PsiFn = psi_entries) -> np.ndarray:
@@ -202,13 +221,10 @@ def psi_round_trip_gap() -> float:
     return float(np.max([np.max(np.abs(b - a)) for a, b in zip(x, back)]))
 
 
-def psi_consistency(
-    t1: float, t2: float, t0: float, psi: PsiFn = psi_entries
-) -> float:
-    """Max-norm gap between Psi(polar(F(t))) and G(t); zero analytically."""
+def psi_consistency(t1, t2, t0, psi: PsiFn = psi_entries) -> float:
+    """Max-norm gap between Psi(polar(F(t))) and G(t) over every t given; zero analytically."""
     lhs = psi_of_apoint(map_F(t1, t2, t0), psi)
-    rhs = map_G(t1, t2, t0)
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(lhs - map_G(t1, t2, t0))))
 
 
 # --- control flows on both sides ----------------------------------------------
@@ -281,8 +297,7 @@ def nagano_check(
 # --- pushforward of the frame ---------------------------------------------------
 
 def _flow_frame_field(p: APoint, index: int, eps: float) -> APoint:
-    u = (1.0, 0.0, 0.0) if index == 1 else (0.0, 1.0, 0.0)
-    return integrate_chart([u], eps, _FLOW_STEPS, start=p)
+    return integrate_chart([_UNIT_CONTROLS[index]], eps, _FLOW_STEPS, start=p)
 
 
 def pushforward_check(p: APoint, eps: float, psi: PsiFn = psi_entries) -> float:
@@ -331,7 +346,7 @@ def pushforward_gram(p: APoint, psi: PsiFn = psi_entries) -> np.ndarray:
 # --- quotient behaviour ----------------------------------------------------------
 
 def kernel_point(k: int) -> APoint:
-    """The k-th preimage of the identity, (0, -1, -4 k pi)."""
+    """The k-th preimage of the identity, (0, -1, -4 k pi); k may be an array."""
     return APoint(0.0, -1.0, -4.0 * math.pi * k)
 
 
@@ -344,14 +359,10 @@ def quotient_check(k_range: Sequence[int], rng: Optional[np.random.Generator] = 
         gap = float(np.max(np.abs(psi_of_apoint(center, psi) - np.eye(2))))
         if not gap <= 1e-12:  # a NaN gap fails too
             return False
-        for _ in range(100):
-            q = APoint(
-                float(rng.uniform(-3, 3)),
-                float(rng.uniform(-3, -0.1)),
-                float(rng.uniform(-3, 3)),
-            )
-            if a_mul(center, q) != a_mul(q, center):
-                return False
+        q = APoint(*_draw(rng, 100, ((-3.0, 3.0), (-3.0, -0.1), (-3.0, 3.0))).T)
+        left, right = a_mul(center, q), a_mul(q, center)
+        if not np.array_equal([left.x, left.y, left.z], [right.x, right.y, right.z]):
+            return False
     return True
 
 
@@ -365,18 +376,15 @@ def finite_difference_bracket(index_a: int, index_b: int, p: APoint) -> np.ndarr
     """
     coords = np.array([p.x, p.y, p.z])
 
-    def field(idx, c):
-        return f0_chart() if idx == 0 else frame_hat(APoint(*c))[idx - 1]
-
-    xa = field(index_a, coords)
-    xb = field(index_b, coords)
+    def field(idx, c):  # on plain floats: numpy scalars make _chart_rhs ~3x slower
+        return np.array(_chart_rhs(_UNIT_CONTROLS[idx], *c.tolist()))
 
     def directional(idx, direction):
-        plus = field(idx, coords + _FD_STEP * direction)
-        minus = field(idx, coords - _FD_STEP * direction)
-        return (plus - minus) / (2.0 * _FD_STEP)
+        step = _FD_STEP * direction
+        return (field(idx, coords + step) - field(idx, coords - step)) / (2.0 * _FD_STEP)
 
-    return directional(index_b, xa) - directional(index_a, xb)
+    return (directional(index_b, field(index_a, coords))
+            - directional(index_a, field(index_b, coords)))
 
 
 # --- certification driver ----------------------------------------------------------
@@ -407,11 +415,15 @@ def run_certification(
 ) -> List[CheckResult]:
     """Run the whole certification battery; deterministic for a fixed seed.
 
-    ``samples`` scales the randomized checks: endpoint-map consistency,
-    round trip and determinant use 20x samples, the finite-difference
-    brackets 2x, the control-flow rows (intertwining and its step-doubling
-    discretisation estimate) 1x, each schedule flown at ``NAGANO_STEPS``
-    (read at call time) and at half that, and the pushforward rows 0.4x.
+    ``samples`` scales the randomized rows, which draw from one generator in
+    row order: 100 points per kernel point (centrality); 2x samples chart
+    points (finite-difference brackets); one (20x samples, 6) array of times
+    (t1, t2, t0) and chart points (endpoint-map consistency, round trip and
+    determinant, checked in one array pass); per schedule, 1x samples, a
+    segment count and its controls (intertwining and its step-doubling
+    estimate, flown at ``NAGANO_STEPS``, read at call time, and at half
+    that); 0.4x samples chart points (pushforward).  Only the schedules are
+    not one array; rows that fly the float RK4 loop over plain floats.
     With samples = 0 only the exact fixed-point checks run; samples < 0
     raises ValueError.  Floating-point errors are ignored where ``psi`` is
     evaluated, and only there: a degenerate or non-finite ``psi`` carries NaN
@@ -435,12 +447,9 @@ def run_certification(
     results.append(_result("psi_identity_fixed_point", 1, identity_gap, 1e-12))
     results.append(_result("psi_nonhomomorphism_product", 1, prod_gap, 1e-12))
 
-    ks = range(-2, 3)
-    kernel_gaps = []
-    for k in ks:
-        p = map_F(0.0, 0.0, 2.0 * math.pi * k)
-        expect = kernel_point(k)
-        kernel_gaps += [abs(p.x - expect.x), abs(p.y - expect.y), abs(p.z - expect.z)]
+    ks = np.arange(-2, 3)
+    p, expect = map_F(0.0, 0.0, 2.0 * math.pi * ks), kernel_point(ks)
+    kernel_gaps = np.abs(np.broadcast_arrays(p.x - expect.x, p.y - expect.y, p.z - expect.z))
     results.append(_result("kernel_points", len(ks), kernel_gaps, 1e-12))
     results.append(_result("kernel_centrality", 5, 0.0 if central else 1.0, 0.0))
 
@@ -457,11 +466,10 @@ def run_certification(
     ]
     results.append(_result("matrix_commutators", 3, comm_gaps, 1e-14))
 
-    # Finite-difference brackets of the chart frame.
+    # Finite-difference brackets of the chart frame, at plain-float points.
     fd_gaps = []
     n_fd = 2 * samples
-    for _ in range(n_fd):
-        p = _random_apoint(rng)
+    for p in map(APoint, *_draw(rng, n_fd, _POINT_BOX).T.tolist()):
         f1, f2 = frame_hat(p)
         fd_gaps += [
             np.abs(finite_difference_bracket(1, 0, p) - (-f2)),
@@ -470,20 +478,17 @@ def run_certification(
         ]
     results.append(_result("frame_commutators_fd", n_fd, fd_gaps, 1e-5))
 
-    # Determinant identity and endpoint-map consistency.
+    # Endpoint-map consistency and round trip, and the determinant identity:
+    # one pass over one draw, each row a time t and a chart point.
     n_psi = 20 * samples
-    det_gaps, cons_gaps, round_gaps = [], [], []
-    for _ in range(n_psi):
-        t1 = float(rng.uniform(-1.5, 1.5))
-        t2 = float(rng.uniform(-3.0, 3.0))
-        t0 = float(rng.uniform(-1.5, 1.5))
-        back = map_F_inv(map_F(t1, t2, t0))
-        round_gaps += [abs(back[0] - t1), abs(back[1] - t2), abs(back[2] - t0)]
-        with np.errstate(all="ignore"):
-            cons_gaps.append(psi_consistency(t1, t2, t0, psi))
-            m = psi_of_apoint(_random_apoint(rng), psi)
-            det_gaps.append(abs(float(np.linalg.det(m)) - 1.0))
-    results.append(_result("psi_consistency", n_psi, cons_gaps, 1e-10))
+    draw = _draw(rng, n_psi, ((-1.5, 1.5), (-3.0, 3.0), (-1.5, 1.5)) + _POINT_BOX).T
+    t, p = draw[:3], APoint(*draw[3:])
+    back = map_F_inv(map_F(*t))
+    round_gaps = [np.abs(b - a) for a, b in zip(t, back)]
+    with np.errstate(all="ignore"):
+        cons_gap = psi_consistency(*t, psi)
+        det_gaps = np.abs(np.linalg.det(psi_of_apoint(p, psi)) - 1.0)
+    results.append(_result("psi_consistency", n_psi, cons_gap, 1e-10))
     results.append(_result("endpoint_map_roundtrip", n_psi, round_gaps, 1e-10))
     results.append(_result("psi_determinant", n_psi, det_gaps, 1e-10))
 
@@ -507,8 +512,7 @@ def run_certification(
     # Pushforward: first-order decay in eps and orthonormality transport.
     n_push = max(1, (2 * samples) // 5)
     ratio_gaps, gram_gaps = [], []
-    for _ in range(n_push):
-        p = _random_apoint(rng)
+    for p in map(APoint, *_draw(rng, n_push, _POINT_BOX).T.tolist()):
         with np.errstate(all="ignore"):
             r1 = pushforward_check(p, 1e-3, psi)
             r2 = pushforward_check(p, 5e-4, psi)
@@ -519,11 +523,3 @@ def run_certification(
     results.append(_result("pushforward_orthonormality", n_push, gram_gaps, 1e-6))
 
     return results
-
-
-def _random_apoint(rng: np.random.Generator) -> APoint:
-    return APoint(
-        float(rng.uniform(-2.0, 2.0)),
-        float(rng.uniform(-2.5, -0.4)),
-        float(rng.uniform(-2.5, 2.5)),
-    )

@@ -528,6 +528,21 @@ class TestCertifyCommand:
         assert captured.err == "error: --samples must be >= 0, got -2\n"
         assert captured.out == ""
 
+    def test_samples_above_the_limit_fail_before_the_battery(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("certify-isometry went past its --samples check")
+
+        monkeypatch.setattr(cli.isometry, "run_certification", unreachable)
+        assert cli._MAX_SAMPLES == 150_000
+        code = main(["certify-isometry", "--samples", str(cli._MAX_SAMPLES + 1)])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == "error: --samples must be <= 150000, got 150001\n"
+        assert captured.out == ""
+        with pytest.raises(SystemExit):
+            main(["certify-isometry", "--help"])
+        assert "0 to 150000" in capsys.readouterr().out
+
     def test_negative_seed_is_parse_error(self, capsys):
         assert main(["certify-isometry", "--samples", "1", "--seed", "-1"]) == EXIT_PARSE
         captured = capsys.readouterr()

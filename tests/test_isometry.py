@@ -33,6 +33,54 @@ class TestCoordinates:
             iso.APoint(0.0, 1.0, 0.0)
 
 
+class TestArrayForms:
+    """The closed forms on arrays are the closed forms on floats, entry by
+    entry, and one draw is the battery's sequential scalar draws."""
+
+    BOXES = (iso._POINT_BOX, ((-1.5, 1.5), (-3.0, 3.0), (-1.5, 1.5)) + iso._POINT_BOX)
+
+    @pytest.mark.parametrize("box", BOXES)
+    def test_draw_is_sequential_uniform_draws_to_the_bit(self, box):
+        drawn, sequential = np.random.default_rng(5), np.random.default_rng(5)
+        rows = iso._draw(drawn, 300, box)
+        want = [[sequential.uniform(lo, hi) for lo, hi in box] for _ in range(300)]
+        assert rows.shape == (300, len(box)) and rows.tolist() == want
+        assert drawn.random() == sequential.random()
+
+    @staticmethod
+    def _close(array, scalars):
+        scalars = np.array(scalars)
+        assert array.shape == scalars.shape
+        assert np.all(np.abs(array - scalars) <= 1e-15 * (1.0 + np.abs(scalars)))
+
+    def test_closed_forms_on_arrays_are_the_scalar_calls(self, rng):
+        x, y, z = iso._draw(rng, 400, iso._POINT_BOX).T
+        t = iso._draw(rng, 400, ((-1.5, 1.5), (-3.0, 3.0), (-1.5, 1.5))).T
+        points = [iso.APoint(*v) for v in zip(x.tolist(), y.tolist(), z.tolist())]
+        times = list(zip(*t.tolist()))
+        p = iso.APoint(x, y, z)
+        for got, want in zip(iso.polar(p), zip(*(iso.polar(q) for q in points))):
+            self._close(got, want)
+        for got, want in zip(iso.map_F_inv(p), zip(*(iso.map_F_inv(q) for q in points))):
+            self._close(got, want)
+        f = iso.map_F(*t)
+        for name in "xyz":
+            self._close(getattr(f, name), [getattr(iso.map_F(*s), name) for s in times])
+        self._close(iso.map_G(*t), [iso.map_G(*s) for s in times])
+        self._close(iso.psi_of_apoint(p), [iso.psi_of_apoint(q) for q in points])
+        # A grid broadcasts too: a (20, 20) block of 2x2 matrices.
+        grid = iso.map_G(t[0][:20, None], t[1][None, :20], t[2][:20, None])
+        self._close(grid[3, 7], iso.map_G(t[0][3], t[1][7], t[2][3]))
+
+    @pytest.mark.parametrize("bad", [0.0, 1e-300, np.inf, np.nan])
+    def test_apoint_of_arrays_refuses_any_y_not_negative(self, bad):
+        y = np.full(5, -1.0)
+        iso.APoint(np.zeros(5), y, np.zeros(5))
+        y[3] = bad
+        with pytest.raises(ValueError, match="requires y < 0"):
+            iso.APoint(np.zeros(5), y, np.zeros(5))
+
+
 class TestFrameHat:
     def test_at_identity(self):
         f1, f2 = iso.frame_hat(iso.IDENTITY_APOINT)
@@ -261,7 +309,8 @@ class TestControlFlows:
         # certification, from the identity and from random starts.
         for n_seg in (1, 2, 3, 4, 5, 3, 5):
             schedule = [tuple(rng.uniform(-1, 1, size=3)) for _ in range(n_seg)]
-            for start in (iso.IDENTITY_APOINT, iso._random_apoint(rng)):
+            random_start = iso.APoint(*iso._draw(rng, 1, iso._POINT_BOX)[0].tolist())
+            for start in (iso.IDENTITY_APOINT, random_start):
                 for steps in (iso.NAGANO_STEPS, iso.NAGANO_STEPS // 2):
                     q = iso.integrate_chart(schedule, 1.0, steps, start=start)
                     assert [q.x, q.y, q.z] == rk4_step_chart(schedule, 1.0, steps, start)
@@ -439,6 +488,34 @@ class TestQuotient:
             assert (left.x, left.y, left.z) == (right.x, right.y, right.z)
 
 
+def scalar_psi_rows(samples, seed):
+    """Reference: the three Psi rows as a loop of scalar calls over the draws
+    the battery takes before them, in its order, with G(t) as the product of
+    its three exponential factors."""
+    rng = np.random.default_rng(seed)
+
+    def uniform(*box):
+        return [float(rng.uniform(lo, hi)) for lo, hi in box]
+
+    for _ in range(5 * 100):  # centrality: 100 points per kernel point
+        uniform((-3, 3), (-3, -0.1), (-3, 3))
+    for _ in range(2 * samples):  # the finite-difference points
+        uniform(*iso._POINT_BOX)
+    rows = dict.fromkeys(("psi_consistency", "endpoint_map_roundtrip", "psi_determinant"), 0.0)
+    for _ in range(20 * samples):
+        t1, t2, t0 = t = uniform((-1.5, 1.5), (-3.0, 3.0), (-1.5, 1.5))
+        g = (np.diag([math.exp(t1), math.exp(-t1)])
+             @ np.array([[math.cosh(t2), math.sinh(t2)], [math.sinh(t2), math.cosh(t2)]])
+             @ np.array([[math.cos(t0), -math.sin(t0)], [math.sin(t0), math.cos(t0)]]))
+        gap = np.max(np.abs(iso.psi_of_apoint(iso.map_F(*t)) - g))
+        back = iso.map_F_inv(iso.map_F(*t))
+        det = np.linalg.det(iso.psi_of_apoint(iso.APoint(*uniform(*iso._POINT_BOX))))
+        for name, value in zip(rows, (gap, max(abs(b - a) for a, b in zip(t, back)),
+                                      abs(det - 1.0))):
+            rows[name] = max(rows[name], float(value))
+    return rows
+
+
 class TestCertification:
     def test_battery_passes_quickly(self):
         results = iso.run_certification(samples=5, seed=7)
@@ -502,6 +579,12 @@ class TestCertification:
         rows = {r.name: r for r in iso.run_certification(samples=3, seed=11, psi=zero_psi)}
         assert {name for name, r in rows.items() if r.passed} == psi_free | {
             "nagano_discretisation"}
+
+    @pytest.mark.parametrize("seed", [42, 7919])
+    def test_psi_rows_are_the_scalar_loop(self, seed):
+        rows = {r.name: r.max_residual for r in iso.run_certification(50, seed)}
+        for name, want in scalar_psi_rows(50, seed).items():
+            assert abs(rows[name] - want) <= 1e-12, name
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError, match="samples must be >= 0"):
