@@ -29,21 +29,15 @@ in the same order.  :func:`vertical_rhs` alone holds the covector
 equations, on floats or arrays.  :func:`integrate_controls` flies no RK4: a
 constant control's flow is exactly g exp(t M), one closed form per segment.
 
-Shooting flies no RK4.  The four models are the chi = 0 classes, whose
-normal geodesics have closed forms, written out entry by entry in the exact
-endpoint map :func:`_geodesic_ends`, which broadcasts over arrays.  Batches
-go through :func:`_batched_endpoints` (the shooting grid, and each
-refinement iteration's 3 Jacobian points in one call), single points through
-:func:`_shoot_endpoint`.  A batch flies over unit time: H is quadratic in
-the covector, so the flow from covector lam h over time 1 ends where the
-flow from h ends over time lam, and each path's time is a covector scale.
+Shooting (:func:`shoot_distance`) flies no RK4.  The four models are the
+chi = 0 classes, whose normal geodesics have closed forms, written out entry
+by entry in the exact endpoint map :func:`_geodesic_ends` on arrays; its
+best grid starts are refined by Levenberg-Marquardt (:func:`minimize`).
 
 Four models are provided: the 3x3 unipotent realization of the Heisenberg
 group, the 3x3 affine realization of A+(R) x R, SL(2) as 2x2 matrices, and
-SU(2) as unit quaternions (kept in real arithmetic on purpose).
-
-:func:`shoot_distance` refines its best grid starts by Levenberg-Marquardt
-on the endpoint residual (:func:`minimize`).  The runtime needs numpy only.
+SU(2) as unit quaternions (kept in real arithmetic on purpose).  The runtime
+needs numpy only.
 """
 
 from __future__ import annotations
@@ -476,6 +470,7 @@ HIT_TOLERANCE = 1e-6
 # its h0 values span [-3, 3].
 _GRID_T_MAX = 2.0
 _GRID_H0_MAX = 3.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)  # minimize's difference step over max(1, |x_i|)
 
 
 def _shoot_steps(t: float) -> int:
@@ -609,62 +604,75 @@ class MinimizeResult(NamedTuple):
     message: str
 
 
-def minimize(fun, x0, maxiter=200) -> MinimizeResult:
-    """Levenberg-Marquardt: damped Gauss-Newton on a residual.
+def _det3(a, b, c):  # the determinant of the 3x3 matrix with columns a, b, c
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a, b, c
+    return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
 
-    ``fun`` broadcasts over a leading axis: x of shape (n,) gives the
-    residual r of shape (m,), and points X of shape (k, n) give rows of
-    shape (k, m).  x is (alpha, h0, t) and ``fun`` is only ever called with
-    t > 0 when ``x0`` has it.  Each iteration builds a forward-difference
-    Jacobian J from one call on its n shifted points and tries steps dx
-    solving (A + lam diag(A)) dx = -J^T r, A = J^T J.  A step is rejected,
-    and lam raised tenfold, when the damped system is singular, when it
-    exceeds the cap |dalpha|, |dh0| <= 1, |dt| <= t/2 (which keeps t
-    positive), or when it does not reduce |r|; an accepted step lowers lam
-    tenfold.  Stops when |r| <= 1e-14, when no damped step reduces |r| (lam
-    above 1e8), after 5 accepted steps in a row that each cut |r|^2 by under
-    1%, or after ``maxiter`` iterations; fails at once when |r|^2 or J is
-    NaN or inf.  ``fun`` of the result is |r| at ``x``; ``nfev`` counts the
-    points evaluated.
+
+def _damped_step(a, grad, lam, cap):
+    """dx solving (a + lam diag a) dx = -grad (``a`` 3x3 nested lists) by
+    Cramer's rule on floats; None if the determinant is 0 or not finite or
+    some |dx_i| > cap_i, NaN included.  Its error can grow faster than
+    cond * eps; in :func:`minimize` a poor step only fails the cost test."""
+    (d0, m01, m02), (m10, d1, m12), (m20, m21, d2) = a
+    c0, c1, c2 = (d0 + lam * d0, m10, m20), (m01, d1 + lam * d1, m21), (m02, m12, d2 + lam * d2)
+    det, rhs = _det3(c0, c1, c2), (-grad[0], -grad[1], -grad[2])
+    if det == 0.0 or not math.isfinite(det):
+        return None
+    dx = _det3(rhs, c1, c2) / det, _det3(c0, rhs, c2) / det, _det3(c0, c1, rhs) / det
+    return dx if abs(dx[0]) <= cap[0] and abs(dx[1]) <= cap[1] and abs(dx[2]) <= cap[2] else None
+
+
+def minimize(fun, x0, maxiter=200) -> MinimizeResult:
+    """Levenberg-Marquardt: damped Gauss-Newton on a residual, its 3-vector
+    algebra on Python floats.
+
+    ``fun`` broadcasts over a leading axis: x = (alpha, h0, t) gives r of
+    shape (m,), X of shape (k, 3) rows of shape (k, m).  Each iteration takes
+    a forward-difference Jacobian J from one call on 3 shifted points, forms
+    A = J^T J and J^T r by one numpy product each, and tries steps dx solving
+    (A + lam diag A) dx = -J^T r (:func:`_damped_step`).  A step is rejected,
+    and lam raised tenfold, when that system is singular (its determinant 0
+    or not finite), when dx leaves the cap |dalpha|, |dh0| <= 1, |dt| <= t/2
+    (so t stays > 0 if it starts so), or when it does not reduce |r|; an
+    accepted step lowers lam tenfold.  Stops when |r| <= 1e-14, when
+    no damped step reduces |r| (lam above 1e8), after 5 accepted steps in a
+    row each cutting |r|^2 by under 1%, or after ``maxiter`` iterations;
+    fails at once when |r|^2 or J is NaN or inf.  ``fun`` of the result is
+    |r| at ``x``; ``nfev`` counts the points evaluated.
     """
-    x = np.array(x0, dtype=float)
-    r = np.asarray(fun(x), dtype=float)
-    with np.errstate(over="ignore"):  # |r|^2 of a finite r may overflow: inf
-        cost = float(r @ r)
+    x = tuple(np.asarray(x0, dtype=float).tolist())
+    r = np.asarray(fun(np.array(x)), dtype=float)
+    cost = float(np.vdot(r, r))  # an overflowing |r|^2 is inf, and vdot does not warn
     nfev, nit, lam, slow = 1, 0, 1e-3, 0
+
+    def result(success, message):
+        return MinimizeResult(np.array(x), math.sqrt(cost), nit, nfev, success, message)
     while True:
         if not math.isfinite(cost):
-            success, message = False, "|r|^2 is NaN or inf"
-            break
+            return result(False, "|r|^2 is NaN or inf")
         if math.sqrt(cost) <= 1e-14:
-            success, message = True, "residual norm at most 1e-14"
-            break
+            return result(True, "residual norm at most 1e-14")
         if slow == 5:
-            success, message = False, "5 accepted steps in a row each cut |r|^2 by under 1%"
-            break
+            return result(False, "5 accepted steps in a row each cut |r|^2 by under 1%")
         if nit == maxiter:
-            success, message = False, "maximum number of iterations reached"
-            break
+            return result(False, "maximum number of iterations reached")
         nit += 1
-        shifted = x + np.diag(math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x)))
-        jac = ((np.asarray(fun(shifted), dtype=float) - r) / (np.diag(shifted) - x)[:, None]).T
-        nfev += x.size
-        if not np.all(np.isfinite(jac)):
-            success, message = False, "the Jacobian is NaN or inf"
-            break
-        a, grad = jac.T @ jac, jac.T @ r
-        cap = np.array([1.0, 1.0, 0.5 * x[2]])
+        shifted = [v + _SQRT_EPS * max(1.0, abs(v)) for v in x]
+        points = np.array([x] * 3)
+        points.flat[::4] = shifted  # point i moves coordinate i alone
+        rows = (np.asarray(fun(points), dtype=float) - r) / np.subtract(shifted, x)[:, None]
+        nfev += 3
+        if not np.isfinite(rows).all():
+            return result(False, "the Jacobian is NaN or inf")
+        a, grad, cap = (rows @ rows.T).tolist(), (rows @ r).tolist(), (1.0, 1.0, 0.5 * x[2])
         while lam <= 1e8:
-            try:
-                step = np.linalg.solve(a + lam * np.diag(np.diag(a)), -grad)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and np.all(np.abs(step) <= cap):
-                trial = x + step
-                r_trial = np.asarray(fun(trial), dtype=float)
+            step = _damped_step(a, grad, lam, cap)
+            if step is not None:
+                trial = tuple(v + dv for v, dv in zip(x, step))
+                r_trial = np.asarray(fun(np.array(trial)), dtype=float)
                 nfev += 1
-                with np.errstate(over="ignore"):
-                    cost_trial = float(r_trial @ r_trial)
+                cost_trial = float(np.vdot(r_trial, r_trial))
                 if cost_trial < cost:
                     slow = slow + 1 if cost_trial > 0.99 * cost else 0
                     x, r, cost = trial, r_trial, cost_trial
@@ -672,9 +680,7 @@ def minimize(fun, x0, maxiter=200) -> MinimizeResult:
                     break
             lam *= 10.0
         else:
-            success, message = True, "no damped step reduces the residual"
-            break
-    return MinimizeResult(x, math.sqrt(cost), nit, nfev, success, message)
+            return result(True, "no damped step reduces the residual")
 
 
 def shoot_distance(
@@ -685,15 +691,14 @@ def shoot_distance(
     """Estimate the path-length distance from the identity to ``target``.
 
     Initial covectors are arc-length normalized (h1^2 + h2^2 = 1, free h0)
-    so the time of flight is the candidate length.  Every endpoint comes
-    from the exact map :func:`_geodesic_ends`; no RK4 is flown.  A coarse
-    deterministic grid over (direction angle, h0, t) is evaluated as one
-    unit-time batch by the scaling law: each t is a covector scale, since the
-    flow from t (cos alpha, sin alpha, h0) over time 1 ends where the unit
-    covector's flow ends over time t.  Its three best points are refined by
-    Levenberg-Marquardt on the endpoint residual (:func:`minimize`,
-    at most ``budget`` iterations of one batch of 3 Jacobian endpoints plus
-    one endpoint per trial step), each evaluated at its own t.  Returns the
+    so the time of flight is the candidate length.  A coarse deterministic
+    grid over (direction angle, h0, t) is evaluated as one unit-time batch
+    by the scaling law: each t is a covector scale, since the flow from
+    t (cos alpha, sin alpha, h0) over time 1 ends where the unit covector's
+    flow ends over time t.  Its three best points are refined by
+    Levenberg-Marquardt on the endpoint residual (:func:`minimize`, at most
+    ``budget`` iterations of one batch of 3 Jacobian endpoints plus one
+    endpoint per trial step), each evaluated at its own t.  Returns the
     shortest refined hit whose endpoint error is below 1e-6, else the best
     found with its error.  Candidates are reduced in grid-index order, so
     the result is schedule-independent.
@@ -725,11 +730,10 @@ def shoot_distance(
         return ShootingResult(0.0, (0.0, 0.0, 0.0), 0.0, True)
 
     def residual(params):  # one point (alpha, h0, t), or a batch of them as rows
-        alpha, h0, t = params.T
         if params.ndim == 1:
-            return (_shoot_endpoint(model, alpha, h0, t) - target).ravel()
-        ends = _batched_endpoints(model, alpha, h0, 1.0, scale=t)
-        return (ends - target).reshape(len(params), -1)
+            return (_shoot_endpoint(model, *params) - target).ravel()
+        alpha, h0, t = params.T
+        return (_batched_endpoints(model, alpha, h0, 1.0, scale=t) - target).reshape(len(t), -1)
 
     alphas = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
     h0s = np.linspace(-_GRID_H0_MAX, _GRID_H0_MAX, 9)
@@ -740,18 +744,14 @@ def shoot_distance(
     ends = _batched_endpoints(model, grid_a, grid_h, 1.0, scale=grid_t)
     errs = np.linalg.norm(ends.reshape(grid_t.size, -1) - target.ravel(), axis=1)
     k, idx = np.divmod(np.arange(grid_t.size), alphas.size * h0s.size)
-    hits, best = [], None
+    results = []
     for p in np.lexsort((k, idx, errs))[:3]:  # error first, then grid indices
         res = minimize(residual, np.array([grid_a[p], grid_h[p], grid_t[p]]), maxiter=budget)
-        alpha_r, h0_r, t_r = res.x
-        err_r = float(res.fun)
-        cov = (math.cos(alpha_r), math.sin(alpha_r), float(h0_r))
-        result = ShootingResult(float(t_r), cov, err_r, err_r < HIT_TOLERANCE)
-        if result.converged:
-            hits.append(result)
-        if best is None or err_r < best.endpoint_error:
-            best = result
-    return min(hits, key=lambda r: r.distance) if hits else best
+        alpha, h0, t = res.x.tolist()
+        cov = (math.cos(alpha), math.sin(alpha), h0)
+        results.append(ShootingResult(t, cov, res.fun, res.fun < HIT_TOLERANCE))
+    return min(results, key=lambda r: (not r.converged,  # the shortest hit, else the best
+                                       r.distance if r.converged else r.endpoint_error))
 
 
 # --- export -----------------------------------------------------------------

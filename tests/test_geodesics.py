@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import math
 import os
@@ -33,6 +34,7 @@ from sr3d.geodesics import (
 from sr3d.geodesics import (
     _BLOCK,
     _batched_endpoints,
+    _damped_step,
     _geodesic_ends,
     _rk4_step,
     _shoot_endpoint,
@@ -980,6 +982,57 @@ class TestShooting:
         assert (res.nit, res.nfev) == (1, 4)
         assert np.array_equal(res.x, [0.0, 0.0, 1.0]) and res.fun == math.sqrt(2.0)
 
+    # Every LM start of the 80 distance-benchmark queries of seeds 7919 and
+    # 1-9, drawn as the benchmark draws them but aimed at the exact endpoint
+    # of each seeded geodesic: per-model (nit, nfev) sums, and a digest of
+    # the 240 (nit, nfev, message) triples in query and start order.
+    _LM_PATH_SUMS = {"heisenberg": (504, 2076), "a_plus_r": (452, 1868),
+                     "sl2": (485, 2000), "su2": (436, 1804)}
+    _LM_PATH_DIGEST = "456f6a2af3fc12ea"
+
+    def test_lm_paths_of_the_distance_queries_are_pinned(self, models, monkeypatch):
+        paths = []
+
+        def refine(fun, x0, **kwargs):
+            res = minimize(fun, x0, **kwargs)
+            paths.append((res.nit, res.nfev, res.message))
+            return res
+
+        monkeypatch.setattr(geodesics, "minimize", refine)
+        sums = dict.fromkeys(MODEL_IDS, (0, 0))
+        for seed in (7919, *range(1, 10)):
+            rng = np.random.default_rng([seed, 4])
+            for mid in MODEL_IDS * 2:
+                model = models[mid]
+                alpha, h0 = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-1.0, 1.0)
+                length = rng.uniform(0.25, 0.35)
+                result = shoot_distance(model, _geodesic_ends(model, alpha, h0, length))
+                assert result.converged and abs(result.distance - length) <= 1e-13, (seed, mid)
+                nit, nfev = sums[mid]
+                sums[mid] = (nit + sum(p[0] for p in paths[-3:]), nfev + sum(p[1] for p in paths[-3:]))
+        assert len(paths) == 240
+        assert {message for _, _, message in paths} == {"residual norm at most 1e-14"}
+        assert sums == self._LM_PATH_SUMS
+        assert hashlib.sha256(repr(paths).encode()).hexdigest()[:16] == self._LM_PATH_DIGEST
+
+    def test_heisenberg_distance_scales_with_the_dilation(self, models):
+        # The dilation delta_lam scales A1, A2 by lam and A0 by lam^2, so
+        # entries (0, 1), (1, 2) of g by lam and (0, 2) by lam^2: a group
+        # automorphism that scales every horizontal length by lam, so
+        # d(delta_lam g) = lam d(g), with no oracle beyond shooting itself.
+        model = models["heisenberg"]
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            alpha, h0 = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-1.0, 1.0)
+            target = _geodesic_ends(model, alpha, h0, rng.uniform(0.25, 0.35))
+            base = shoot_distance(model, target)
+            assert base.converged
+            for lam in (0.6, 2.0, 5.0):
+                dilation = np.array([[1.0, lam, lam * lam], [1.0, 1.0, lam], [1.0, 1.0, 1.0]])
+                result = shoot_distance(model, target * dilation)
+                assert result.converged, (alpha, h0, lam)
+                assert abs(result.distance - lam * base.distance) <= 1e-12 * lam * base.distance
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_residual_norm_is_no_success_and_no_warning(self):
         # |r|^2 overflows a float for |r| above ~1.3e154 though r is finite.
@@ -1146,6 +1199,66 @@ class TestShooting:
             rs = shoot_distance(ms, psi_of_apoint(matrix_to_apoint(qa)))
             assert ra.converged and rs.converged
             assert abs(ra.distance - rs.distance) <= 1e-4
+
+
+class TestDampedStep:
+    """minimize's damped 3x3 solve on floats, against LAPACK on the same
+    damped matrix."""
+
+    _OPEN = (1e300,) * 3  # a finite cap that no step here reaches
+
+    @staticmethod
+    def system(rng, cond, symmetric):
+        # Singular values from 1 down to 1/cond, at a random overall scale;
+        # a symmetric system is positive definite.
+        left = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        right = left if symmetric else np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        return (left * np.geomspace(1.0, 1.0 / cond, 3) * 10.0 ** rng.uniform(-3.0, 3.0)) @ right.T
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_agrees_with_lapack_to_the_condition_number(self, symmetric):
+        # Cramer's rule is not forward stable: on these spectra its error
+        # grows like kappa^1.5 eps (4e2 kappa eps at kappa = 1e8), where
+        # LAPACK's LU stays within ~kappa eps of the exact solution.
+        rng = np.random.default_rng(33)
+        for cond in 10.0 ** np.arange(9):
+            for lam in (0.0, 1e-3, 1.0, 1e3):
+                for _ in range(20):
+                    a, grad = self.system(rng, cond, symmetric), rng.standard_normal(3)
+                    damped = a + lam * np.diag(np.diag(a))
+                    want = np.linalg.solve(damped, -grad)
+                    got = np.array(_damped_step(a.tolist(), grad.tolist(), lam, self._OPEN))
+                    kappa = np.linalg.cond(damped)
+                    tol = 8.0 * kappa * math.sqrt(kappa) * np.finfo(float).eps * np.max(np.abs(want))
+                    assert np.max(np.abs(got - want)) <= tol, (cond, lam)
+
+    def test_cap_bounds_each_component(self):
+        a, grad = np.diag([1.0, 2.0, 4.0]).tolist(), [-1.0, -1.0, -1.0]
+        assert _damped_step(a, grad, 0.0, (1.0, 0.5, 0.25)) == (1.0, 0.5, 0.25)
+        for i in range(3):
+            cap = [1.0, 0.5, 0.25]
+            cap[i] = np.nextafter(cap[i], 0.0)
+            assert _damped_step(a, grad, 0.0, tuple(cap)) is None
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 1e8])
+    def test_zero_row_and_column_is_singular(self, lam):
+        a = self.system(np.random.default_rng(4), 10.0, True)
+        a[1, :] = a[:, 1] = 0.0
+        assert _damped_step(a.tolist(), [1.0, 0.0, 1.0], lam, self._OPEN) is None
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejects_without_raising(self, bad):
+        a = self.system(np.random.default_rng(5), 10.0, True)
+        grad = [0.5, -0.25, 1.0]
+        for i, j in np.ndindex(3, 3):
+            spoilt = a.copy()
+            spoilt[i, j] = bad
+            assert _damped_step(spoilt.tolist(), grad, 1e-3, self._OPEN) is None, (i, j)
+        for i in range(3):
+            spoilt = list(grad)
+            spoilt[i] = bad
+            assert _damped_step(a.tolist(), spoilt, 1e-3, self._OPEN) is None, i
 
 
 class TestCsvExport:

@@ -488,10 +488,10 @@ class TestQuotient:
             assert (left.x, left.y, left.z) == (right.x, right.y, right.z)
 
 
-def scalar_psi_rows(samples, seed):
-    """Reference: the three Psi rows as a loop of scalar calls over the draws
-    the battery takes before them, in its order, with G(t) as the product of
-    its three exponential factors."""
+def scalar_psi_draws(samples, seed):
+    """The (t, chart point) pairs of the three Psi rows, (t1, t2, t0) and
+    (x, y, z), as sequential scalar draws after those the battery takes
+    before them, in its order."""
     rng = np.random.default_rng(seed)
 
     def uniform(*box):
@@ -501,15 +501,22 @@ def scalar_psi_rows(samples, seed):
         uniform((-3, 3), (-3, -0.1), (-3, 3))
     for _ in range(2 * samples):  # the finite-difference points
         uniform(*iso._POINT_BOX)
+    return [(uniform((-1.5, 1.5), (-3.0, 3.0), (-1.5, 1.5)), uniform(*iso._POINT_BOX))
+            for _ in range(20 * samples)]
+
+
+def scalar_psi_rows(samples, seed):
+    """Reference: the three Psi rows as a loop of scalar calls over their
+    draws, with G(t) as the product of its three exponential factors."""
     rows = dict.fromkeys(("psi_consistency", "endpoint_map_roundtrip", "psi_determinant"), 0.0)
-    for _ in range(20 * samples):
-        t1, t2, t0 = t = uniform((-1.5, 1.5), (-3.0, 3.0), (-1.5, 1.5))
+    for t, point in scalar_psi_draws(samples, seed):
+        t1, t2, t0 = t
         g = (np.diag([math.exp(t1), math.exp(-t1)])
              @ np.array([[math.cosh(t2), math.sinh(t2)], [math.sinh(t2), math.cosh(t2)]])
              @ np.array([[math.cos(t0), -math.sin(t0)], [math.sin(t0), math.cos(t0)]]))
         gap = np.max(np.abs(iso.psi_of_apoint(iso.map_F(*t)) - g))
         back = iso.map_F_inv(iso.map_F(*t))
-        det = np.linalg.det(iso.psi_of_apoint(iso.APoint(*uniform(*iso._POINT_BOX))))
+        det = np.linalg.det(iso.psi_of_apoint(iso.APoint(*point)))
         for name, value in zip(rows, (gap, max(abs(b - a) for a, b in zip(t, back)),
                                       abs(det - 1.0))):
             rows[name] = max(rows[name], float(value))
@@ -585,6 +592,34 @@ class TestCertification:
         rows = {r.name: r.max_residual for r in iso.run_certification(50, seed)}
         for name, want in scalar_psi_rows(50, seed).items():
             assert abs(rows[name] - want) <= 1e-12, name
+
+    @pytest.mark.parametrize("seed", [42, 7919])
+    def test_psi_rows_read_their_draw_in_column_order(self, seed, monkeypatch):
+        # The rows' maxima are all at rounding level, so a draw read in the
+        # wrong column order passes the comparison above.  Here every F(t)
+        # the rows evaluate is at the scalar loop's (t1, t2, t0), and Psi's
+        # determinant at its chart points, entry for entry.
+        samples = 3  # 60 draws: no other call in the battery has that many
+        times, points = (np.array(v).T for v in zip(*scalar_psi_draws(samples, seed)))
+        seen_t, seen_p = [], []
+        real_F, real_psi = iso.map_F, iso.psi_of_apoint
+
+        def map_F(*t):
+            seen_t.append(t)
+            return real_F(*t)
+
+        def psi_of_apoint(p, psi=iso.psi_entries):
+            seen_p.append(p)
+            return real_psi(p, psi)
+
+        monkeypatch.setattr(iso, "map_F", map_F)
+        monkeypatch.setattr(iso, "psi_of_apoint", psi_of_apoint)
+        iso.run_certification(samples, seed)
+        seen_t = [np.array(t) for t in seen_t if np.shape(t[0]) == times.shape[1:]]
+        seen_p = [np.array([p.x, p.y, p.z]) for p in seen_p if np.shape(p.x) == points.shape[1:]]
+        assert len(seen_t) == 2 and all(np.array_equal(t, times) for t in seen_t)
+        # Psi at F(t) for the consistency row, then at the drawn points.
+        assert len(seen_p) == 2 and np.array_equal(seen_p[1], points)
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError, match="samples must be >= 0"):
