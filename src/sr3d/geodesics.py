@@ -20,8 +20,8 @@ split is the same RK4 map, to rounding.  A flight (:func:`integrate_geodesic`)
 therefore (1) steps the autonomous covector subsystem alone on three Python
 floats, (2) builds every step's propagator in one call on numpy arrays
 (:func:`_array_rhs`), in blocks of ``_BLOCK`` steps, and (3) composes
-g_{n+1} = g_n P_n in step order, unit quaternions by the Hamilton product on
-Python floats, renormalized after every step.  Every three-float flow (this
+g_n = g_0 P_0 ... P_{n-1} by one prefix product a block (:func:`_prefix_products`),
+unit quaternions renormalized at every step.  Every three-float flow (this
 covector, the affine chart of :func:`sr3d.isometry.integrate_chart`) runs
 the one loop :func:`_rk4_floats`, its stages written out on three locals;
 arrays take the one step :func:`_rk4_step`, with the same float operations
@@ -67,16 +67,6 @@ class IntegrationBlowUpError(RuntimeError):
         self.step = step
 
 
-def _hamilton(w1, x1, y1, z1, w2, x2, y2, z2):
-    """Hamilton product (w1, x1, y1, z1)(w2, x2, y2, z2), on floats or arrays."""
-    return (
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    )
-
-
 def _over(num, x):
     """num / x, read as 1 where x = 0 by adding 1 to both: num is sin, sinh or expm1 of x."""
     zero = x == 0
@@ -95,7 +85,13 @@ def _cosh_sinhc(q):
 
 def quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Hamilton product of quaternions stored as (w, x, y, z) on the last axis."""
-    return np.array(_hamilton(*np.asarray(p).T, *np.asarray(q).T)).T
+    (w1, x1, y1, z1), (w2, x2, y2, z2) = np.asarray(p).T, np.asarray(q).T
+    return np.array((
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )).T
 
 
 @dataclass(frozen=True)
@@ -354,13 +350,25 @@ def _array_rhs(model, frame):
 _BLOCK = 2048
 
 
+def _prefix_products(mul, p):
+    """Prefix products p[0], p[0] p[1], ..., p[0] ... p[n-1] of a stack, by
+    ceil(log2 n) calls of the associative ``mul`` (a Hillis-Steele scan);
+    ``p`` is not changed.  A non-finite p[k] makes rows k.. non-finite, not rows < k."""
+    p, d = p.copy(), 1
+    while d < len(p):
+        p[d:] = mul(p[:-d], p[d:])
+        d *= 2
+    return p
+
+
 def _split_flight(model, frame, hs, gs, dt):
     """Fill rows 1..n of covectors ``hs`` (n+1, 3) and elements ``gs``
     (n+1, ...) by n RK4 steps of the coupled system from their row 0.
 
-    The three stages of the module docstring; quaternions are renormalized
-    after every step.  Returns the largest pre-projection defect of those
-    steps (0.0 for matrices).  Non-finite values are carried, not checked.
+    The three stages of the module docstring.  Returns the largest defect of
+    those steps: the group defect of matrices, the pre-projection defect
+    | |g_n P_n| - 1 | = | |P_n| - 1 | of quaternions.  Non-finite values are
+    carried, not checked.
     """
     steps = len(hs) - 1
     flat = _rk4_floats(vertical_rhs, frame, *hs[0].tolist(), dt, steps)
@@ -369,21 +377,14 @@ def _split_flight(model, frame, hs, gs, dt):
     with np.errstate(over="ignore", invalid="ignore"):
         props = _rk4_step(_array_rhs(model, frame), [eye, *hs[:-1].T], dt)[0]
         if model.kind != "quaternion":
-            for g, p, out in zip(gs[:-1], props, gs[1:]):
-                np.dot(g, p, out=out)
-            return 0.0
-    # One quaternion a step on Python floats: numpy's per-call dispatch
-    # would cost more than the product.
-    (w, x, y, z), defect = gs[0].tolist(), 0.0
-    flat = array("d")
-    for pw, px, py, pz in props.tolist():
-        w, x, y, z = _hamilton(w, x, y, z, pw, px, py, pz)
-        norm = math.hypot(w, x, y, z)
-        w, x, y, z = w / norm, x / norm, y / norm, z / norm
-        flat.extend((w, x, y, z))
-        defect = max(defect, abs(norm - 1.0))
-    gs[1:] = np.frombuffer(flat).reshape(steps, 4)
-    return defect
+            gs[1:] = model.mul(gs[0], _prefix_products(model.mul, props))
+            return model.group_defect(gs[1:])
+        # The quaternion norm is multiplicative: projecting every factor, then
+        # every row, is renormalizing after every step; hypot does not square.
+        norms = np.hypot.reduce(props, axis=1, keepdims=True)
+        gs[1:] = quat_mul(gs[0], _prefix_products(quat_mul, props / norms))
+        gs[1:] /= np.hypot.reduce(gs[1:], axis=1, keepdims=True)
+    return float(np.max(np.abs(norms - 1.0)))
 
 
 def integrate_geodesic(
@@ -399,10 +400,11 @@ def integrate_geodesic(
     RK4 map as stepping the coupled state, since each stage slope is linear
     in g.  Each block is checked once it is flown, and the first non-finite
     step raises :class:`IntegrationBlowUpError`.  Quaternion states are
-    renormalized after every step; the pre-projection defect is what
+    renormalized at every step; the pre-projection defect is what
     :attr:`Trajectory.max_group_defect` reports.  Matrix states are never
-    projected; their defect is taken block by block, so it allocates no
-    temporary the size of the trajectory.
+    projected.  Defects are taken block by block, and a block's elements are
+    one prefix product of its propagators: no per-step loop on the group
+    side, and no temporary the size of the trajectory.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -420,8 +422,6 @@ def integrate_geodesic(
         finite &= np.isfinite(gs[1:].reshape(len(finite), -1)).all(axis=1)
         if not finite.all():
             raise IntegrationBlowUpError(n0 + 1 + int(np.argmin(finite)))
-        if model.kind != "quaternion":
-            defect = model.group_defect(gs[1:])
         max_defect = max(max_defect, defect)
     times = np.linspace(0.0, t_final, steps + 1)
     return Trajectory(model.id, times, covectors, elements, max_defect)

@@ -36,6 +36,7 @@ from sr3d.geodesics import (
     _batched_endpoints,
     _damped_step,
     _geodesic_ends,
+    _prefix_products,
     _rk4_step,
     _shoot_endpoint,
     _shoot_steps,
@@ -716,11 +717,12 @@ def test_flights_call_the_module_vertical_rhs(models, monkeypatch):
         assert np.max(np.abs(old - new)) > 1e-3
 
 
-@pytest.mark.parametrize("mid", ["su2"])
+@pytest.mark.parametrize("mid", MODEL_IDS)
 def test_flight_memory_is_the_result_plus_a_block(models, mid):
-    # 40 000 steps, not more, since tracemalloc slows the flight ~10x; an
-    # unblocked flight already peaks at ~7x the result here.  The a_plus_r
-    # flight is bounded more tightly by the group-defect test below.
+    # 40 000 steps, not more, since tracemalloc slows the flight; an
+    # unblocked flight already peaks at ~7x the result here.  The bound holds
+    # the propagators and their prefix-product scan to a block's temporaries;
+    # the a_plus_r flight is bounded more tightly by the group-defect test below.
     model = models[mid]
     tracemalloc.start()
     try:
@@ -751,7 +753,10 @@ def test_group_defect_adds_no_trajectory_sized_temporary(models):
     "mid,cov,t_final,steps",
     [("a_plus_r", (1.0, 0.0, 0.0), 2000.0, 100),
      ("sl2", (0.8, 0.6, 0.7), 1e6, 10),
-     ("su2", (1e200, 1e200, 1e200), 1.0, 10)],
+     ("su2", (1e200, 1e200, 1e200), 1.0, 10),
+     # Non-finite first at step 2367, in the second block: the prefix product
+     # carries the first block's last element into the next.
+     ("sl2", (0.075, 0.0, 0.0), 32000.0, 4000)],
 )
 def test_blow_up_step_matches_numpy(models, mid, cov, t_final, steps):
     model = models[mid]
@@ -760,6 +765,61 @@ def test_blow_up_step_matches_numpy(models, mid, cov, t_final, steps):
     with pytest.raises(IntegrationBlowUpError) as got:
         integrate_geodesic(model, model.frame, start(model, *cov), t_final, steps)
     assert got.value.step == want.value.step
+
+
+def test_blow_up_past_a_block_matches_stepwise_composition(models):
+    # At dt = 0.5 coupled RK4's stage sums overflow at step 2836, before the
+    # state does; the split flight's state g P^n (the covector is stationary,
+    # so every propagator is P) first overflows at step 2840, in its second
+    # block, as composing g_{n+1} = g_n P one step at a time does.
+    model, cov, t_final, steps = models["sl2"], (1.0, 0.0, 0.0), 2000.0, 4000
+    _, (_, prop), _ = numpy_rk4(model, model.frame, cov, t_final / steps, 1)
+    g, want = model.identity, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.isfinite(g).all():
+            g, want = g @ prop, want + 1
+    with pytest.raises(IntegrationBlowUpError) as got:
+        integrate_geodesic(model, model.frame, start(model, *cov), t_final, steps)
+    assert got.value.step == want == 2840
+
+
+def test_su2_propagator_norms_do_not_overflow(models):
+    # With h1 dt = 1e40 each propagator's norm is ~(|A1| h1 dt)^4 / 24 =
+    # 1e160 / 384, whose square overflows: a norm taken as sqrt(sum p^2)
+    # would end the flight at step 1.  Renormalized, g_n = (1, 0, -8e-40 n, 0).
+    model = models["su2"]
+    traj = integrate_geodesic(model, model.frame, start(model, 1e40, 0.0, 0.0), 8.0, 8)
+    want = [[1.0, 0.0, -8e-40 * n, 0.0] for n in range(9)]
+    assert np.max(np.abs(traj.elements - want)) <= 1e-15
+    assert traj.max_group_defect == pytest.approx(1e160 / 384, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 65, 2047, 2048])
+@pytest.mark.parametrize("shape,mul", [((2, 2), np.matmul), ((3, 3), np.matmul), ((4,), quat_mul)])
+def test_prefix_products_are_the_left_fold(rng, n, shape, mul):
+    # Factors near the identity, so that 2048 of them neither overflow nor
+    # commute; each row is checked relative to its own size.
+    eye = np.eye(shape[0]) if len(shape) == 2 else np.array([1.0, 0.0, 0.0, 0.0])
+    p = eye + 0.05 * rng.normal(size=(n,) + shape)
+    kept = p.copy()
+    got = _prefix_products(mul, p)
+    assert np.array_equal(p, kept)
+    fold, want = eye, []
+    for factor in p:
+        fold = mul(fold, factor)
+        want.append(fold)
+    axes = tuple(range(1, p.ndim))
+    gap = np.max(np.abs(got - want), axis=axes) / np.max(np.abs(want), axis=axes)
+    assert np.max(gap) <= 1e-13
+    # integrate_geodesic reports the first non-finite row as the blow-up step.
+    k = int(rng.integers(n))
+    for bad in (math.nan, math.inf, -math.inf):
+        q = p.copy()
+        q.reshape(n, -1)[k, rng.integers(eye.size)] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            scanned = _prefix_products(mul, q)
+        assert np.array_equal(scanned[:k], got[:k])
+        assert not np.isfinite(scanned[k:].reshape(n - k, -1)).all(axis=1).any()
 
 
 class TestControls:
