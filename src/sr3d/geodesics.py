@@ -160,7 +160,7 @@ class GroupModel:
         if self.id == "sl2":
             return float(np.max(np.abs(np.linalg.det(g) - 1.0)))
         if self.id == "su2":
-            return float(np.max(np.abs(np.linalg.norm(g, axis=-1) - 1.0)))
+            return float(np.max(np.abs(np.hypot.reduce(g, axis=-1) - 1.0)))
         if self.id == "heisenberg":
             rows, cols, want = (0, 1, 2, 1, 2, 2), (0, 1, 2, 0, 0, 1), (1, 1, 1, 0, 0, 0)
         else:
@@ -427,26 +427,39 @@ def integrate_geodesic(
     return Trajectory(model.id, times, covectors, elements, max_defect)
 
 
+def _schedules(controls):
+    """(u, n, single) for one schedule of triples (u1, u2, u0) or a sequence: ``u`` each padded
+    with zero triples to (lanes, longest + 1, 3), ``n`` segment counts; ValueError on bad input."""
+    single = len(controls) > 0 and np.ndim(controls[0]) < 2 and np.size(controls[0]) > 0
+    schedules = [np.asarray(s, dtype=float) for s in ([controls] if single else controls)]
+    if min(map(len, schedules), default=0) == 0:  # an array schedule has no truth value
+        raise ValueError("control schedule must be nonempty")
+    u = np.zeros((len(schedules), max(map(len, schedules)) + 1, 3))
+    for lane, s in zip(u, schedules):
+        if s.shape != (len(s), 3):
+            raise ValueError(f"each control must be a triple (u1, u2, u0); got shape {s.shape}")
+        lane[:len(s)] = s
+    return u, np.array([len(s) for s in schedules]), single
+
+
 def integrate_controls(
     model: GroupModel,
     controls: Sequence[Tuple[float, float, float]],
     t_final: float,
 ) -> np.ndarray:
-    """Endpoint of g' = g (u1 A1 + u2 A2 + u0 A0) for piecewise-constant u.
+    """Endpoint of g' = g (u1 A1 + u2 A2 + u0 A0) for piecewise-constant u, or
+    their stack for a sequence of schedules.
 
-    Each triple acts for an equal share t of ``t_final`` and moves g exactly
-    to g exp(t M): the product, in segment order, of one broadcast
-    :meth:`GroupModel.exp`.  A bad schedule raises ValueError; a non-finite
-    partial product, :class:`IntegrationBlowUpError` "in segment" k (from 1).
+    Each triple acts for an equal share t of ``t_final`` and moves g exactly to
+    g exp(t M): products in segment order of one broadcast :meth:`GroupModel.exp`,
+    short schedules padded with identity factors.  A bad schedule raises ValueError;
+    a non-finite partial product, :class:`IntegrationBlowUpError` "in segment" k.
     """
-    if len(controls) == 0:  # an array schedule has no truth value
-        raise ValueError("control schedule must be nonempty")
+    u, n, single = _schedules(controls)
     with np.errstate(over="ignore", invalid="ignore"):
-        u = (t_final / len(controls)) * np.array(controls, dtype=float)
-        if u.shape != (len(controls), 3):
-            raise ValueError(f"each control must be a triple (u1, u2, u0); got shape {u.shape}")
+        factors = model.exp(*np.moveaxis((t_final / n)[:, None, None] * u[:, :-1], -1, 0))
         g = model.identity
-        for segment, factor in enumerate(model.exp(*u.T), start=1):
+        for segment, factor in enumerate(factors[0] if single else factors.swapaxes(0, 1), 1):
             g = model.mul(g, factor)
             if not np.all(np.isfinite(g)):
                 raise IntegrationBlowUpError(segment, "in segment")

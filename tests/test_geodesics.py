@@ -794,6 +794,20 @@ def test_su2_propagator_norms_do_not_overflow(models):
     assert traj.max_group_defect == pytest.approx(1e160 / 384, rel=1e-12)
 
 
+def test_su2_group_defect_of_a_huge_start_does_not_overflow(models):
+    # The start's norm is 1e200, whose square overflows: the defect is taken
+    # by hypot, as the flight's norms are, and nothing warns.
+    model = models["su2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate_geodesic(model, model.frame,
+                                  GeodesicState(np.array([1e200, 0.0, 0.0, 0.0]), 0.6, 0.8, 0.0), 1.0, 10)
+        assert model.group_defect(traj.elements[0]) == 1e200
+    assert traj.max_group_defect == 1e200
+    assert np.all(np.isfinite(traj.elements))
+    assert np.max(np.abs(np.hypot.reduce(traj.elements[1:], axis=1) - 1.0)) <= 1e-15
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 65, 2047, 2048])
 @pytest.mark.parametrize("shape,mul", [((2, 2), np.matmul), ((3, 3), np.matmul), ((4,), quat_mul)])
 def test_prefix_products_are_the_left_fold(rng, n, shape, mul):

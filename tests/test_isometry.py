@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.linalg import expm
 
 from sr3d import isometry as iso
 from sr3d.cli import PSI_MUTANTS
-from sr3d.geodesics import IntegrationBlowUpError, _rk4_step
+from sr3d.geodesics import IntegrationBlowUpError, _rk4_step, build_model, integrate_controls
 
 from conftest import finite_or_documented
 
@@ -411,6 +412,99 @@ class TestControlFlows:
             iso.integrate_chart([(0.0, 0.0, 1e308)], 10.0, 10)
 
 
+def schedules_of_every_length(rng, per_length=3):
+    return [rng.uniform(-1, 1, size=(n_seg, 3)) for n_seg in range(1, 6) for _ in range(per_length)]
+
+
+class TestBatchedFlight:
+    """A batch of schedules flies as one array flight a side, and each lane
+    is the single schedule's flight to the bit."""
+
+    @pytest.mark.parametrize("steps", [iso.NAGANO_STEPS, iso.NAGANO_STEPS // 2, 12, 2400,
+                                       1, 6, 7])
+    def test_every_lane_is_integrate_chart_to_the_bit(self, rng, steps):
+        # At 12, 1, 6 and 7 steps the lanes run different step counts, so
+        # the shorter ones are parked while the others fly on.
+        batch = schedules_of_every_length(rng, 1 if steps > 1000 else 3)
+        u, n, single = iso._schedules(batch)
+        assert not single and n.tolist() == [len(s) for s in batch]
+        ends = iso._chart_flights(u, n, 1.0, steps)
+        for lane, schedule in enumerate(batch):
+            q = iso.integrate_chart(schedule, 1.0, steps)
+            assert [x[lane] for x in ends] == [q.x, q.y, q.z], (steps, lane)
+
+    def test_batch_gaps_are_the_single_schedule_gaps(self, rng):
+        batch = schedules_of_every_length(rng, 2)
+        gaps = iso.nagano_check(batch, 1.0, 12)  # lanes of 5 segments fly 10 steps
+        assert isinstance(gaps, np.ndarray) and gaps.shape == (len(batch),)
+        assert gaps.tolist() == [iso.nagano_check(s, 1.0, 12) for s in batch]
+        ends = iso.integrate_sl2(batch, 1.0, 240)
+        assert ends.shape == (len(batch), 2, 2)
+        for end, schedule in zip(ends, batch):
+            assert np.array_equal(end, iso.integrate_sl2(schedule, 1.0, 240))
+        assert isinstance(iso.nagano_check(batch[0], 1.0, 12), float)
+
+    @pytest.mark.parametrize("bad, t_final, steps", [
+        ([(0.1, 0.0, 0.0), (1e5, 0.0, 0.0)], 1.0, 100),
+        ([(0.0, 0.0, 1e308)], 10.0, 10),
+    ])
+    def test_non_finite_lane_raises_the_chart_flight_error(self, bad, t_final, steps):
+        with pytest.raises(IntegrationBlowUpError) as want:
+            iso.integrate_chart(bad, t_final, steps)
+        good = [(0.2, -0.3, 0.1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationBlowUpError) as got:
+                iso.nagano_check([good, bad, good], t_final, steps)
+        assert str(got.value) == str(want.value) and got.value.step == want.value.step
+
+    def test_an_empty_schedule_in_a_batch_is_a_value_error(self):
+        for batch in ([[(0.1, 0.2, 0.3)], []], [[], []], [np.empty((0, 3))]):
+            for flow in (iso.nagano_check, iso.integrate_sl2):
+                with pytest.raises(ValueError, match="control schedule must be nonempty"):
+                    flow(batch, 1.0, 10)
+        with pytest.raises(ValueError, match="triple"):
+            iso.nagano_check([[(0.1, 0.2, 0.3)], [(0.1, 0.2)]], 1.0)
+
+    @pytest.mark.parametrize("seed", [42, 7919])
+    def test_rows_are_the_per_schedule_flights_to_the_bit(self, seed, monkeypatch):
+        # The schedules the battery drew, flown one at a time by the plain
+        # float chart flight and the exact SL(2) product.
+        nagano, batches = iso.nagano_check, []
+
+        def recorded(controls, *args):
+            batches.append(controls)
+            return nagano(controls, *args)
+
+        monkeypatch.setattr(iso, "nagano_check", recorded)
+        rows = {r.name: r for r in iso.run_certification(50, seed)}
+        assert len(batches) == 2 and batches[0] is batches[1] and len(batches[0]) == 50
+        sl2 = build_model("sl2")
+
+        def gap(schedule, steps):
+            q = iso.integrate_chart(schedule, 1.0, steps)
+            return float(np.max(np.abs(iso.psi_of_apoint(q) - integrate_controls(sl2, schedule, 1.0))))
+
+        fine = [gap(s, iso.NAGANO_STEPS) for s in batches[0]]
+        coarse = [gap(s, iso.NAGANO_STEPS // 2) for s in batches[0]]
+        assert rows["nagano_intertwining"].max_residual == max(fine)
+        assert rows["nagano_discretisation"].max_residual == max(
+            abs(c - f) / 15.0 for c, f in zip(coarse, fine))
+
+    def test_memory_is_o_lanes_not_o_lanes_times_steps(self, rng):
+        # A (steps, 3, lanes) control table would take 5.8 KB a lane here;
+        # the flight holds ~1.2 KB a lane, whatever the step count.
+        batch = schedules_of_every_length(rng, 80)
+        iso.nagano_check(batch[:2], 1.0, 12)  # builds the cached sl2 model
+        tracemalloc.start()
+        try:
+            iso.nagano_check(batch, 1.0, 240)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2048 * len(batch)
+
+
 class TestNonFiniteChart:
     """No float input makes the chart flow or the Nagano residual return a
     non-finite value, raise an undocumented error or emit a RuntimeWarning."""
@@ -542,16 +636,16 @@ class TestCertification:
     def test_discretisation_row_tracks_true_error(self, monkeypatch):
         # Psi is exact, so the residual at 3840 steps stands in for zero
         # discretisation error on the schedules the battery drew.
-        nagano = iso.nagano_check
-        schedules = set()
+        nagano, batches = iso.nagano_check, []
 
         def recorded(controls, *args):
-            schedules.add(tuple(controls))
+            batches.append(controls)
             return nagano(controls, *args)
 
         monkeypatch.setattr(iso, "nagano_check", recorded)
         rows = {r.name: r for r in iso.run_certification(samples=12, seed=1993)}
-        true_error = max(abs(nagano(s, 1.0) - nagano(s, 1.0, 3840)) for s in schedules)
+        schedules = batches[0]
+        true_error = np.max(np.abs(nagano(schedules, 1.0) - nagano(schedules, 1.0, 3840)))
         assert len(schedules) == 12
         assert 0.5 <= rows["nagano_discretisation"].max_residual / true_error <= 2.0
 
