@@ -4,11 +4,14 @@ that in the ordinary test run."""
 
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sr3d import geodesics as geo
+from sr3d import isometry as iso
 
 BENCHMARKS = str(Path(__file__).resolve().parents[1] / "benchmarks")
 
@@ -34,6 +37,67 @@ def test_every_target_resolves(targets):
     missing = [f"{t.module}.{t.attr}" for t in targets
                if not hasattr(importlib.import_module(t.module), t.attr)]
     assert not missing
+
+
+def _key(schedule):
+    return tuple(map(tuple, np.asarray(schedule, dtype=float).tolist()))
+
+
+def test_nagano_check_reaches_both_flows(targets, monkeypatch):
+    # One flight a side per call, one schedule or many: the chart lanes by
+    # _chart_flights, the SL(2) side by integrate_sl2.  integrate_chart flies
+    # only to raise a non-finite lane's error.
+    traced = ("nagano_check", "integrate_chart", "integrate_sl2")
+    assert {("sr3d.isometry", n) for n in traced} <= {(t.module, t.attr) for t in targets}
+    names = ("_chart_flights", "integrate_sl2", "integrate_chart")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(iso, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(iso, name, counted)
+    schedules = [[(0.3, -0.2, 0.5), (0.1, 0.4, -0.6)], [(0.2, 0.1, -0.3)]]
+    iso.nagano_check(schedules[0], 1.0, 40)
+    assert calls == {"_chart_flights": 1, "integrate_sl2": 1, "integrate_chart": 0}
+    iso.nagano_check(schedules, 1.0, 40)
+    assert calls == {"_chart_flights": 2, "integrate_sl2": 2, "integrate_chart": 0}
+
+
+def test_certification_flies_every_schedule_inside_nagano_check(monkeypatch):
+    # isometry.nagano_rk4_steps_per_op counts the flow steps taken inside
+    # nagano_check spans, so the schedules' flows must stay in there.
+    depth = [0]
+    schedules = []
+    flows = []
+    nagano = iso.nagano_check
+
+    def counted_nagano(controls, *args, **kwargs):
+        schedules.extend(_key(s) for s in controls)
+        depth[0] += 1
+        try:
+            return nagano(controls, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def chart(u, n, *args, _fn=iso._chart_flights, **kwargs):
+        flows.extend(("chart", _key(u[lane, :k]), depth[0] > 0) for lane, k in enumerate(n))
+        return _fn(u, n, *args, **kwargs)
+
+    def sl2(controls, *args, _fn=iso.integrate_sl2, **kwargs):
+        flows.extend(("sl2", _key(s), depth[0] > 0) for s in controls)
+        return _fn(controls, *args, **kwargs)
+
+    monkeypatch.setattr(iso, "nagano_check", counted_nagano)
+    monkeypatch.setattr(iso, "_chart_flights", chart)
+    monkeypatch.setattr(iso, "integrate_sl2", sl2)
+    iso.run_certification(samples=2, seed=3)
+    per_schedule = Counter(schedules)
+    assert len(per_schedule) == 2 and min(per_schedule.values()) >= 2
+    on_path = [(name, s, inside) for name, s, inside in flows if s in per_schedule]
+    assert {(name, s) for name, s, _ in on_path} == {(f, s) for f in ("chart", "sl2")
+                                                     for s in per_schedule}
+    assert all(inside for _, _, inside in on_path)
 
 
 def test_a_traced_certify_op_gives_every_certify_metric(bench):
