@@ -21,11 +21,11 @@ therefore (1) steps the autonomous covector subsystem alone on three Python
 floats, (2) builds every step's propagator in one call on numpy arrays
 (:func:`_array_rhs`), in blocks of ``_BLOCK`` steps, and (3) composes
 g_n = g_0 P_0 ... P_{n-1} by one prefix product a block (:func:`_prefix_products`),
-unit quaternions renormalized at every step.  Every three-float flow (this
-covector, the affine chart of :func:`sr3d.isometry.integrate_chart`) runs
-the one loop :func:`_rk4_floats`, its stages written out on three locals;
-arrays take the one step :func:`_rk4_step`, with the same float operations
-in the same order.  :func:`vertical_rhs` alone holds the covector
+unit quaternions renormalized at every step.  The covector flies by the
+loop :func:`_rk4_floats`, its stages written out on three locals; arrays
+(these propagators, the lanes of :func:`sr3d.isometry.integrate_chart`)
+take the one step :func:`_rk4_step`, with the same float operations in the
+same order.  :func:`vertical_rhs` alone holds the covector
 equations, on floats or arrays.  :func:`integrate_controls` flies no RK4: a
 constant control's flow is exactly g exp(t M), one closed form per segment.
 
@@ -303,8 +303,8 @@ def _rk4_step(rhs, state, dt):
 
     ``state`` is a flat list of numpy arrays with one leading batch axis;
     ``rhs`` maps such a list to one of the same layout.  Returns the new
-    state without projecting or checking it; three-float flows run
-    :func:`_rk4_floats` instead.
+    state without projecting or checking it.  The propagators and the chart's
+    lanes step by it; the covector's three floats run :func:`_rk4_floats`.
     """
     half = 0.5 * dt
     k1 = rhs(state)
@@ -317,9 +317,9 @@ def _rk4_step(rhs, state, dt):
 
 def _rk4_floats(rhs, param, a, b, c, dt, steps):
     """``steps`` RK4 steps of (a, b, c)' = rhs(param, a, b, c), every step's
-    state returned flat in one ``array("d")``.  :func:`_rk4_step`'s float
-    operations in its order, on three locals: no list is built per step, and
-    non-finite values are carried, not checked."""
+    state returned flat in one ``array("d")``: :func:`_split_flight`'s covector.
+    :func:`_rk4_step`'s float operations in its order, on three locals: no
+    list is built per step, and non-finite values are carried, not checked."""
     half, sixth = 0.5 * dt, dt / 6.0
     flat = array("d")
     for _ in range(steps):

@@ -30,9 +30,10 @@ rho = cos theta (m21^2 + m22^2)), whose round trip on a grid of the
 fundamental domain certifies that Psi is injective there.
 
 The closed forms (chart points, ``polar``, ``map_F``, ``map_F_inv``, ``map_G``,
-Psi, ``psi_consistency``) take floats or arrays.  The randomized rows of
-:func:`run_certification` draw in row order, one array each; the Psi rows check
-their shared draw in one pass, and the Nagano rows fly all schedules at once.
+Psi, ``psi_consistency``) take floats or arrays, and so do the checks.  The
+randomized rows of :func:`run_certification` draw in row order, one array each,
+and check it in one pass; every chart flight, the Nagano schedules' and the
+pushforward's frame-field flows, is one :func:`integrate_chart` over lanes.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geodesics import (GroupModel, IntegrationBlowUpError, _rk4_floats, _rk4_step, _schedules,
+from .geodesics import (GroupModel, IntegrationBlowUpError, _rk4_step, _schedules,
                         build_model, integrate_controls, sl2_basis)
 
 TWO_PI = 2.0 * math.pi
@@ -55,7 +56,7 @@ NAGANO_STEPS = 240
 
 # Fixed settings of the other certification rows: the central-difference
 # step of the frame brackets and of the pushforward gram, the RK4 steps of
-# one short frame-field flow, and the points per axis of the round-trip grid.
+# the short frame-field flows, and the points per axis of the round-trip grid.
 _FD_STEP = 1e-4
 _FLOW_STEPS = 8
 _ROUND_TRIP_GRID = 50
@@ -112,10 +113,10 @@ def matrix_to_apoint(g: np.ndarray) -> APoint:
 _UNIT_CONTROLS = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
 
-def _chart_rhs(u, x, y, z, sin=math.sin, cos=math.cos):
-    """u1 fhat1 + u2 fhat2 + u0 f0 at (x, y, z) for u = (u1, u2, u0); np.sin, np.cos on arrays."""
+def _chart_rhs(u, x, y, z):
+    """u1 fhat1 + u2 fhat2 + u0 f0 at (x, y, z) for u = (u1, u2, u0), on floats or arrays."""
     u1, u2, u0 = u
-    s, c = sin(z), cos(z)
+    s, c = np.sin(z), np.cos(z)
     return u1 * y * s - u2 * y * c, -u1 * y * c - u2 * y * s, -u1 * s + u2 * c - u0
 
 
@@ -184,8 +185,8 @@ PsiFn = Callable[..., Tuple[float, float, float, float]]
 
 
 def map_Psi(rho, theta, phi, psi: PsiFn = psi_entries) -> np.ndarray:
-    """The global isometry: the 2x2 matrices of the entries ``psi`` gives."""
-    return _matrix(*psi(rho, theta, phi))
+    """The global isometry: one 2x2 matrix a point, of the entries ``psi`` gives."""
+    return _matrix(*np.broadcast_arrays(rho, theta, phi, *psi(rho, theta, phi))[3:])
 
 
 def psi_of_apoint(p: APoint, psi: PsiFn = psi_entries) -> np.ndarray:
@@ -235,40 +236,35 @@ def integrate_chart(
     steps: int,
     start: APoint = IDENTITY_APOINT,
 ) -> APoint:
-    """RK4 flow of u1 fhat1 + u2 fhat2 + u0 f0 in (x, y, z), on three floats
-    by the covector's loop ``_rk4_floats``.  An empty schedule raises
-    ValueError; a segment that ends non-finite raises
-    :class:`IntegrationBlowUpError` "by" its last step, as does one whose z
-    turns infinite inside it."""
-    if len(controls) == 0:  # an array schedule has no truth value
-        raise ValueError("control schedule must be nonempty")
-    state = [start.x, start.y, start.z]
-    seg_steps = max(1, steps // len(controls))
-    # Plain floats: numpy scalars step ~3x slower and warn on overflow.
-    dt = float(t_final) / len(controls) / seg_steps
-    for segment, (u1, u2, u0) in enumerate(controls):
-        u = (float(u1), float(u2), float(u0))
-        try:
-            state = _rk4_floats(_chart_rhs, u, *state, dt, seg_steps)[-3:]
-        except ValueError:  # math.sin of an infinite z
-            state = [math.inf]
-        if not all(map(math.isfinite, state)):
-            raise IntegrationBlowUpError((segment + 1) * seg_steps, "by step")
-    return APoint(*state)
+    """RK4 flow of u1 fhat1 + u2 fhat2 + u0 f0 in (x, y, z) from ``start`` (a
+    point, or one point per lane) for one schedule, an APoint of floats, or
+    for each of a sequence, an APoint of arrays with one entry a lane.
 
-
-def _chart_flights(u, n, t_final, steps):
-    """[x, y, z] over the lanes of :func:`_schedules`' (u, n): :func:`integrate_chart`'s
-    endpoints, bit for bit, by one :func:`_rk4_step` a step, each lane at its own
-    dt and parked by its zero padding once its schedule ends.  Carries non-finite values."""
-    seg_steps = np.maximum(1, steps // n)
-    dt, total = float(t_final) / n / seg_steps, int(np.max(n * seg_steps))
-    state = [np.zeros(len(n)), np.full(len(n), -1.0), np.zeros(len(n))]
+    Every lane flies by one :func:`_rk4_step` a step, at its own dt, and is
+    parked by the zero padding of :func:`_schedules` once its schedule ends.
+    A bad schedule or ``steps`` < 1 raises ValueError.  A lane that ends a
+    segment non-finite raises :class:`IntegrationBlowUpError` "by" that
+    segment's last step; a non-finite state stays non-finite under this
+    field, so lanes are checked only at the ends of their segments.  With
+    several such lanes the error reads the earliest failing segment end
+    across them.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    u, n, single = _schedules(controls)
+    lanes, seg_steps = np.arange(len(n)), np.maximum(1, steps // n)
+    dt = float(t_final) / n / seg_steps
+    checks = {int(s) * j for s, m in zip(seg_steps, n) for j in range(1, m + 1)}
+    state = [np.full(len(n), c, dtype=float) for c in (start.x, start.y, start.z)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(total):
-            control = tuple(u[np.arange(len(n)), np.minimum(k // seg_steps, n)].T)
-            state = _rk4_step(lambda p: _chart_rhs(control, *p, np.sin, np.cos), state, dt)
-    return state
+        for k in range(max(checks)):
+            control = tuple(u[lanes, np.minimum(k // seg_steps, n)].T)
+            state = _rk4_step(lambda p: _chart_rhs(control, *p), state, dt)
+            if k + 1 in checks:
+                ending = ((k + 1) % seg_steps == 0) & (k < n * seg_steps)
+                if not np.isfinite(np.array(state)[:, ending]).all():
+                    raise IntegrationBlowUpError(k + 1, "by step")
+    return APoint(*(float(c[0]) for c in state)) if single else APoint(*state)
 
 
 @functools.cache
@@ -302,39 +298,44 @@ def nagano_check(
     Both systems are driven by the same piecewise-constant control from
     their identities; the max-norm endpoint gap is the residual.  The SL(2)
     side is exact, so only the chart's RK4 error and ``psi``'s error add.
-    One schedule gives a float, a sequence an array: one flight of all lanes a
-    side, one Psi pass.  A non-finite lane raises :func:`integrate_chart`'s error.
+    One schedule gives a float, a sequence an array: one
+    :func:`integrate_chart` flight of all lanes, one :func:`integrate_sl2`
+    product, one Psi pass.  Bad input, ``steps`` < 1 and a non-finite lane
+    raise :func:`integrate_chart`'s errors.
     """
-    u, n, single = _schedules(controls)
-    ends = _chart_flights(u, n, t_final, steps)
-    if not np.isfinite(ends).all():  # the first non-finite lane's own flight raises
-        lane = int(np.argmin(np.isfinite(ends).all(axis=0)))
-        integrate_chart(u[lane, :n[lane]], t_final, steps)
-    x_end = integrate_sl2(controls, t_final, steps)
-    gaps = np.max(np.abs(psi_of_apoint(APoint(*ends), psi) - x_end), axis=(-2, -1))
-    return float(gaps[0]) if single else gaps
+    ends = psi_of_apoint(integrate_chart(controls, t_final, steps), psi)
+    gaps = np.max(np.abs(ends - integrate_sl2(controls, t_final, steps)), axis=(-2, -1))
+    return gaps if gaps.ndim else float(gaps)
 
 
 # --- pushforward of the frame ---------------------------------------------------
 
-def _flow_frame_field(p: APoint, index: int, eps: float) -> APoint:
-    return integrate_chart([_UNIT_CONTROLS[index]], eps, _FLOW_STEPS, start=p)
+def _frame_flows(p: APoint, controls, t: float) -> APoint:
+    """Endpoints of the chart fields of ``controls`` flown for time t by
+    ``_FLOW_STEPS`` RK4 steps from ``p``, a point or an APoint of arrays:
+    shape (len(controls),) + p's shape, each (control, point) pair a lane of
+    one :func:`integrate_chart` call."""
+    coords = np.broadcast_arrays(p.x, p.y, p.z)
+    lanes = np.repeat(np.asarray(controls)[:, None], coords[0].size, axis=0)
+    start = APoint(*(np.tile(c.ravel(), len(controls)) for c in coords))
+    ends = integrate_chart(lanes, t, _FLOW_STEPS, start)
+    shape = (len(controls),) + coords[0].shape
+    return APoint(ends.x.reshape(shape), ends.y.reshape(shape), ends.z.reshape(shape))
 
 
 def pushforward_check(p: APoint, eps: float, psi: PsiFn = psi_entries) -> float:
     """Forward-difference pushforward against the left-invariant generators.
 
     residual = max_i || (Psi(flow_i(eps, p)) - Psi(p)) / eps - Psi(p) G_i ||;
-    expected O(eps) by Taylor expansion.
+    expected O(eps) by Taylor expansion.  A point gives a float, an APoint
+    of arrays an array of residuals, one a point.
     """
     g1, g2, _ = sl2_basis()
     base = psi_of_apoint(p, psi)
-    gaps = []
-    for index, gen in ((1, g1), (2, g2)):
-        moved = psi_of_apoint(_flow_frame_field(p, index, eps), psi)
-        diff = (moved - base) / eps
-        gaps.append(np.abs(diff - base @ gen))
-    return float(np.max(gaps))
+    moved = psi_of_apoint(_frame_flows(p, _UNIT_CONTROLS[1:], eps), psi)
+    gaps = [np.abs((m - base) / eps - base @ gen) for m, gen in zip(moved, (g1, g2))]
+    residual = np.max(gaps, axis=(0, -2, -1))
+    return residual if residual.ndim else float(residual)
 
 
 def pushforward_gram(p: APoint, psi: PsiFn = psi_entries) -> np.ndarray:
@@ -343,25 +344,21 @@ def pushforward_gram(p: APoint, psi: PsiFn = psi_entries) -> np.ndarray:
     Central differences give the image vectors; left translation back to
     the identity expresses them in the (g1, g2, g3) basis, where the metric
     makes (g1, g2) orthonormal.  Should be the 2x2 identity up to O(eps^2)
-    for the step eps = 1e-4; a singular Psi(p) gives NaN entries.
+    for the step eps = 1e-4.  An APoint of arrays gives one matrix a point,
+    and all NaN entries if Psi is singular at any of them.
     """
     base = psi_of_apoint(p, psi)
     try:
         base_inv = np.linalg.inv(base)
     except np.linalg.LinAlgError:
-        base_inv = np.full((2, 2), np.nan)
-    horizontal = []
-    for index in (1, 2):
-        plus = psi_of_apoint(_flow_frame_field(p, index, _FD_STEP), psi)
-        minus = psi_of_apoint(_flow_frame_field(p, index, -_FD_STEP), psi)
-        v = base_inv @ (plus - minus) / (2.0 * _FD_STEP)
-        # Decompose v = a g1 + b g2 + c g3.
-        a = float(v[0, 0] - v[1, 1])
-        b = float(v[0, 1] + v[1, 0])
-        horizontal.append((a, b))
-    return np.array(
-        [[hi[0] * hj[0] + hi[1] * hj[1] for hj in horizontal] for hi in horizontal]
-    )
+        base_inv = np.full(base.shape, np.nan)
+    # The flow of -X for time eps is the flow of X for time -eps.
+    forward = np.array(_UNIT_CONTROLS[1:])
+    moved = psi_of_apoint(_frame_flows(p, np.concatenate([forward, -forward]), _FD_STEP), psi)
+    v = base_inv @ (moved[:2] - moved[2:]) / (2.0 * _FD_STEP)
+    # Decompose v = a g1 + b g2 + c g3, for each of the two frame fields.
+    (a1, a2), (b1, b2) = v[..., 0, 0] - v[..., 1, 1], v[..., 0, 1] + v[..., 1, 0]
+    return _matrix(a1 * a1 + b1 * b1, a1 * a2 + b1 * b2, a2 * a1 + b2 * b1, a2 * a2 + b2 * b2)
 
 
 # --- quotient behaviour ----------------------------------------------------------
@@ -390,15 +387,16 @@ def quotient_check(k_range: Sequence[int], rng: Optional[np.random.Generator] = 
 # --- finite-difference bracket certification -------------------------------------
 
 def finite_difference_bracket(index_a: int, index_b: int, p: APoint) -> np.ndarray:
-    """Central-difference Lie bracket [X_a, X_b](p) of the chart fields.
+    """Central-difference Lie bracket [X_a, X_b](p) of the chart fields, in
+    one pass over a point ((3,) back) or an APoint of arrays ((3, ...) back).
 
     [X, Y] = dY[X] - dX[Y] evaluated with symmetric differences of the
     coefficient functions along straight coordinate shifts.
     """
-    coords = np.array([p.x, p.y, p.z])
+    coords = np.array(np.broadcast_arrays(p.x, p.y, p.z))
 
-    def field(idx, c):  # on plain floats: numpy scalars make _chart_rhs ~3x slower
-        return np.array(_chart_rhs(_UNIT_CONTROLS[idx], *c.tolist()))
+    def field(idx, c):
+        return np.array(_chart_rhs(_UNIT_CONTROLS[idx], *c))
 
     def directional(idx, direction):
         step = _FD_STEP * direction
@@ -444,7 +442,9 @@ def run_certification(
     segment count and its controls (intertwining and its step-doubling
     estimate: all schedules in one :func:`nagano_check` at ``NAGANO_STEPS``,
     read at call time, and one at half that); 0.4x samples chart points
-    (pushforward, which flies the float RK4 loop over plain floats).
+    (pushforward).  Each row calls its check once on its whole draw: the
+    brackets and pushforward on an APoint of arrays, whose frame-field
+    flights fly as lanes of one :func:`integrate_chart` call a check.
     With samples = 0 only the exact fixed-point checks run; samples < 0
     raises ValueError.  Floating-point errors are ignored where ``psi`` is
     evaluated, and only there: a degenerate or non-finite ``psi`` carries NaN
@@ -487,16 +487,15 @@ def run_certification(
     ]
     results.append(_result("matrix_commutators", 3, comm_gaps, 1e-14))
 
-    # Finite-difference brackets of the chart frame, at plain-float points.
-    fd_gaps = []
+    # Finite-difference brackets of the chart frame: one pass over the draw.
     n_fd = 2 * samples
-    for p in map(APoint, *_draw(rng, n_fd, _POINT_BOX).T.tolist()):
-        f1, f2 = frame_hat(p)
-        fd_gaps += [
-            np.abs(finite_difference_bracket(1, 0, p) - (-f2)),
-            np.abs(finite_difference_bracket(2, 0, p) - f1),
-            np.abs(finite_difference_bracket(2, 1, p) - f0_chart()),
-        ]
+    p = APoint(*_draw(rng, n_fd, _POINT_BOX).T)
+    f1, f2 = frame_hat(p)
+    fd_gaps = [
+        np.abs(finite_difference_bracket(1, 0, p) - (-f2)),
+        np.abs(finite_difference_bracket(2, 0, p) - f1),
+        np.abs(finite_difference_bracket(2, 1, p) - f0_chart()[:, None]),
+    ]
     results.append(_result("frame_commutators_fd", n_fd, fd_gaps, 1e-5))
 
     # Endpoint-map consistency and round trip, and the determinant identity:
@@ -526,16 +525,16 @@ def run_certification(
     results.append(_result("nagano_intertwining", samples, fine, 1e-6))
     results.append(_result("nagano_discretisation", samples, disc, 1e-9))
 
-    # Pushforward: first-order decay in eps and orthonormality transport.
+    # Pushforward: first-order decay in eps and orthonormality transport,
+    # each one pass over the draw.
     n_push = max(1, (2 * samples) // 5)
-    ratio_gaps, gram_gaps = [], []
-    for p in map(APoint, *_draw(rng, n_push, _POINT_BOX).T.tolist()):
-        with np.errstate(all="ignore"):
-            r1 = pushforward_check(p, 1e-3, psi)
-            r2 = pushforward_check(p, 5e-4, psi)
-            gram_gaps.append(np.abs(pushforward_gram(p, psi=psi) - np.eye(2)))
+    p = APoint(*_draw(rng, n_push, _POINT_BOX).T)
+    with np.errstate(all="ignore"):
+        r1 = pushforward_check(p, 1e-3, psi)
+        r2 = pushforward_check(p, 5e-4, psi)
+        gram_gaps = np.abs(pushforward_gram(p, psi=psi) - np.eye(2))
         # A map whose image does not move (r1 = 0) shows no decay: NaN fails.
-        ratio_gaps.append(abs(r2 / r1 - 0.5) if r1 else math.nan)
+        ratio_gaps = np.where(r1 != 0, np.abs(r2 / r1 - 0.5), math.nan)
     results.append(_result("pushforward_decay", n_push, ratio_gaps, 0.2))
     results.append(_result("pushforward_orthonormality", n_push, gram_gaps, 1e-6))
 

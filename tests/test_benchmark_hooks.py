@@ -45,11 +45,10 @@ def _key(schedule):
 
 def test_nagano_check_reaches_both_flows(targets, monkeypatch):
     # One flight a side per call, one schedule or many: the chart lanes by
-    # _chart_flights, the SL(2) side by integrate_sl2.  integrate_chart flies
-    # only to raise a non-finite lane's error.
+    # integrate_chart, the SL(2) side by integrate_sl2.
     traced = ("nagano_check", "integrate_chart", "integrate_sl2")
     assert {("sr3d.isometry", n) for n in traced} <= {(t.module, t.attr) for t in targets}
-    names = ("_chart_flights", "integrate_sl2", "integrate_chart")
+    names = ("integrate_chart", "integrate_sl2")
     calls = dict.fromkeys(names, 0)
     for name in names:
         def counted(*args, _name=name, _fn=getattr(iso, name), **kwargs):
@@ -59,9 +58,9 @@ def test_nagano_check_reaches_both_flows(targets, monkeypatch):
         monkeypatch.setattr(iso, name, counted)
     schedules = [[(0.3, -0.2, 0.5), (0.1, 0.4, -0.6)], [(0.2, 0.1, -0.3)]]
     iso.nagano_check(schedules[0], 1.0, 40)
-    assert calls == {"_chart_flights": 1, "integrate_sl2": 1, "integrate_chart": 0}
+    assert calls == {"integrate_chart": 1, "integrate_sl2": 1}
     iso.nagano_check(schedules, 1.0, 40)
-    assert calls == {"_chart_flights": 2, "integrate_sl2": 2, "integrate_chart": 0}
+    assert calls == {"integrate_chart": 2, "integrate_sl2": 2}
 
 
 def test_certification_flies_every_schedule_inside_nagano_check(monkeypatch):
@@ -80,16 +79,16 @@ def test_certification_flies_every_schedule_inside_nagano_check(monkeypatch):
         finally:
             depth[0] -= 1
 
-    def chart(u, n, *args, _fn=iso._chart_flights, **kwargs):
-        flows.extend(("chart", _key(u[lane, :k]), depth[0] > 0) for lane, k in enumerate(n))
-        return _fn(u, n, *args, **kwargs)
+    def chart(controls, *args, _fn=iso.integrate_chart, **kwargs):
+        flows.extend(("chart", _key(s), depth[0] > 0) for s in controls)
+        return _fn(controls, *args, **kwargs)
 
     def sl2(controls, *args, _fn=iso.integrate_sl2, **kwargs):
         flows.extend(("sl2", _key(s), depth[0] > 0) for s in controls)
         return _fn(controls, *args, **kwargs)
 
     monkeypatch.setattr(iso, "nagano_check", counted_nagano)
-    monkeypatch.setattr(iso, "_chart_flights", chart)
+    monkeypatch.setattr(iso, "integrate_chart", chart)
     monkeypatch.setattr(iso, "integrate_sl2", sl2)
     iso.run_certification(samples=2, seed=3)
     per_schedule = Counter(schedules)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -307,15 +307,24 @@ def rk4_step_chart(controls, t_final, steps, start):
 class TestControlFlows:
     def test_chart_is_the_rk4_step_flight_to_the_bit(self, rng):
         # Every Nagano schedule length, at both step counts of the
-        # certification, from the identity and from random starts.
+        # certification, from the identity and from random starts: each
+        # (schedule, start) pair a lane of one flight a step count.
+        schedules, starts = [], []
         for n_seg in (1, 2, 3, 4, 5, 3, 5):
             schedule = [tuple(rng.uniform(-1, 1, size=3)) for _ in range(n_seg)]
             random_start = iso.APoint(*iso._draw(rng, 1, iso._POINT_BOX)[0].tolist())
-            for start in (iso.IDENTITY_APOINT, random_start):
-                for steps in (iso.NAGANO_STEPS, iso.NAGANO_STEPS // 2):
-                    q = iso.integrate_chart(schedule, 1.0, steps, start=start)
-                    assert [q.x, q.y, q.z] == rk4_step_chart(schedule, 1.0, steps, start)
-            assert iso.integrate_chart(np.array(schedule), 1.0, steps, start=start) == q
+            schedules += [schedule, schedule]
+            starts += [iso.IDENTITY_APOINT, random_start]
+        start = iso.APoint(*np.array([[p.x, p.y, p.z] for p in starts]).T)
+        for steps in (iso.NAGANO_STEPS, iso.NAGANO_STEPS // 2):
+            ends = iso.integrate_chart(schedules, 1.0, steps, start=start)
+            for lane, (schedule, p) in enumerate(zip(schedules, starts)):
+                got = [ends.x[lane], ends.y[lane], ends.z[lane]]
+                assert got == rk4_step_chart(schedule, 1.0, steps, p), (steps, lane)
+        # One schedule, from an array as from tuples, flies to its lane's floats.
+        q = iso.integrate_chart(schedule, 1.0, steps, start=random_start)
+        assert isinstance(q.x, float) and [q.x, q.y, q.z] == got
+        assert iso.integrate_chart(np.array(schedule), 1.0, steps, start=random_start) == q
 
     def test_empty_schedule_is_a_value_error(self):
         for flow in (lambda: iso.integrate_chart([], 1.0, 10),
@@ -405,6 +414,30 @@ class TestControlFlows:
             iso.integrate_chart([(0.1, 0.0, 0.0), (1e5, 0.0, 0.0)], 1.0, 100)
         assert err.value.step == 100
 
+    def test_blow_up_in_an_early_segment_reads_that_segment_end(self):
+        # The flight goes non-finite in segment 1 of 2 (50 steps each); a
+        # lane of three segments, checked at steps 33, 66 and 99, flies beside it.
+        bad = [(1e5, 0.0, 0.0), (0.1, 0.0, 0.0)]
+        with pytest.raises(IntegrationBlowUpError, match="by step 50") as alone:
+            iso.integrate_chart(bad, 1.0, 100)
+        with pytest.raises(IntegrationBlowUpError, match="by step 50") as lane:
+            iso.nagano_check([[(0.2, -0.3, 0.1)], bad, [(0.1, 0.2, 0.3)] * 3], 1.0, 100)
+        assert alone.value.step == lane.value.step == 50
+        # Two bad lanes: the error reads the earliest failing segment end
+        # across them (50), not lane 0's own (100).
+        late = [(0.1, 0.0, 0.0), (1e5, 0.0, 0.0)]
+        with pytest.raises(IntegrationBlowUpError, match="by step 100"):
+            iso.integrate_chart(late, 1.0, 100)
+        with pytest.raises(IntegrationBlowUpError, match="by step 50") as two:
+            iso.nagano_check([late, [(0.2, -0.3, 0.1)], bad], 1.0, 100)
+        assert two.value.step == 50
+
+    @pytest.mark.parametrize("steps", [0, -7])
+    def test_step_counts_below_one_are_a_value_error(self, steps):
+        for flow in (iso.integrate_chart, iso.nagano_check):
+            with pytest.raises(ValueError, match="steps must be >= 1"):
+                flow([(0.3, 0.1, 0.2)], 1.0, steps)
+
     def test_infinite_z_inside_a_segment_raises_by_its_end(self):
         # z reaches -inf on the first step; sin(-inf) on the second must not
         # escape as a bare ValueError.
@@ -428,10 +461,18 @@ class TestBatchedFlight:
         batch = schedules_of_every_length(rng, 1 if steps > 1000 else 3)
         u, n, single = iso._schedules(batch)
         assert not single and n.tolist() == [len(s) for s in batch]
-        ends = iso._chart_flights(u, n, 1.0, steps)
+        ends = iso.integrate_chart(batch, 1.0, steps)
         for lane, schedule in enumerate(batch):
-            q = iso.integrate_chart(schedule, 1.0, steps)
-            assert [x[lane] for x in ends] == [q.x, q.y, q.z], (steps, lane)
+            want = rk4_step_chart(schedule, 1.0, steps, iso.IDENTITY_APOINT)
+            assert [x[lane] for x in (ends.x, ends.y, ends.z)] == want, (steps, lane)
+
+    def test_a_start_per_lane_is_each_lane_flown_alone(self, rng):
+        batch = schedules_of_every_length(rng, 2)
+        starts = iso._draw(rng, len(batch), iso._POINT_BOX)
+        ends = iso.integrate_chart(batch, 1.0, 60, start=iso.APoint(*starts.T))
+        for lane, (schedule, start) in enumerate(zip(batch, starts.tolist())):
+            q = iso.integrate_chart(schedule, 1.0, 60, start=iso.APoint(*start))
+            assert [x[lane] for x in (ends.x, ends.y, ends.z)] == [q.x, q.y, q.z], lane
 
     def test_batch_gaps_are_the_single_schedule_gaps(self, rng):
         batch = schedules_of_every_length(rng, 2)
@@ -468,8 +509,8 @@ class TestBatchedFlight:
 
     @pytest.mark.parametrize("seed", [42, 7919])
     def test_rows_are_the_per_schedule_flights_to_the_bit(self, seed, monkeypatch):
-        # The schedules the battery drew, flown one at a time by the plain
-        # float chart flight and the exact SL(2) product.
+        # The schedules the battery drew, flown one at a time by the float
+        # reference chart flight and the exact SL(2) product.
         nagano, batches = iso.nagano_check, []
 
         def recorded(controls, *args):
@@ -482,7 +523,7 @@ class TestBatchedFlight:
         sl2 = build_model("sl2")
 
         def gap(schedule, steps):
-            q = iso.integrate_chart(schedule, 1.0, steps)
+            q = iso.APoint(*rk4_step_chart(schedule, 1.0, steps, iso.IDENTITY_APOINT))
             return float(np.max(np.abs(iso.psi_of_apoint(q) - integrate_controls(sl2, schedule, 1.0))))
 
         fine = [gap(s, iso.NAGANO_STEPS) for s in batches[0]]
@@ -582,28 +623,31 @@ class TestQuotient:
             assert (left.x, left.y, left.z) == (right.x, right.y, right.z)
 
 
-def scalar_psi_draws(samples, seed):
-    """The (t, chart point) pairs of the three Psi rows, (t1, t2, t0) and
-    (x, y, z), as sequential scalar draws after those the battery takes
-    before them, in its order."""
+def battery_draws(samples, seed):
+    """The battery's draws as sequential scalar draws in its order: the
+    finite-difference points, the (t, chart point) pairs of the three Psi
+    rows, (t1, t2, t0) and (x, y, z), and the pushforward points."""
     rng = np.random.default_rng(seed)
 
     def uniform(*box):
         return [float(rng.uniform(lo, hi)) for lo, hi in box]
 
-    for _ in range(5 * 100):  # centrality: 100 points per kernel point
-        uniform((-3, 3), (-3, -0.1), (-3, 3))
-    for _ in range(2 * samples):  # the finite-difference points
-        uniform(*iso._POINT_BOX)
-    return [(uniform((-1.5, 1.5), (-3.0, 3.0), (-1.5, 1.5)), uniform(*iso._POINT_BOX))
-            for _ in range(20 * samples)]
+    rng.random(5 * 100 * 3)  # centrality's 100 points per kernel point, unread
+    fd = [uniform(*iso._POINT_BOX) for _ in range(2 * samples)]
+    psi = [(uniform((-1.5, 1.5), (-3.0, 3.0), (-1.5, 1.5)), uniform(*iso._POINT_BOX))
+           for _ in range(20 * samples)]
+    for _ in range(samples):  # a Nagano schedule: its segment count, then its controls
+        for _ in range(int(rng.integers(1, 6))):
+            rng.uniform(-1.0, 1.0, size=3)
+    push = [uniform(*iso._POINT_BOX) for _ in range(max(1, (2 * samples) // 5))]
+    return fd, psi, push
 
 
 def scalar_psi_rows(samples, seed):
     """Reference: the three Psi rows as a loop of scalar calls over their
     draws, with G(t) as the product of its three exponential factors."""
     rows = dict.fromkeys(("psi_consistency", "endpoint_map_roundtrip", "psi_determinant"), 0.0)
-    for t, point in scalar_psi_draws(samples, seed):
+    for t, point in battery_draws(samples, seed)[1]:
         t1, t2, t0 = t
         g = (np.diag([math.exp(t1), math.exp(-t1)])
              @ np.array([[math.cosh(t2), math.sinh(t2)], [math.sinh(t2), math.cosh(t2)]])
@@ -615,6 +659,60 @@ def scalar_psi_rows(samples, seed):
                                       abs(det - 1.0))):
             rows[name] = max(rows[name], float(value))
     return rows
+
+
+def math_field(index, c):
+    """The chart field of unit control ``index`` at the float point c, on math.sin and math.cos."""
+    (u1, u2, u0), (_, y, z) = iso._UNIT_CONTROLS[index], c
+    s, co = math.sin(z), math.cos(z)
+    return np.array([u1 * y * s - u2 * y * co, -u1 * y * co - u2 * y * s, -u1 * s + u2 * co - u0])
+
+
+def scalar_frame_rows(samples, seed):
+    """Reference: the bracket and pushforward rows as a loop over their
+    points, on float chart fields and rk4_step_chart flights."""
+    fd, _, push = battery_draws(samples, seed)
+    h = iso._FD_STEP
+    f0 = math_field(0, (0.0, -1.0, 0.0))
+
+    def bracket(a, b, coords):
+        def directional(idx, direction):
+            step = h * direction
+            return (math_field(idx, (coords + step).tolist())
+                    - math_field(idx, (coords - step).tolist())) / (2.0 * h)
+
+        return (directional(b, math_field(a, coords.tolist()))
+                - directional(a, math_field(b, coords.tolist())))
+
+    fd_gaps = []
+    for point in fd:
+        coords = np.array(point)
+        f1, f2 = math_field(1, point), math_field(2, point)
+        fd_gaps += [np.abs(bracket(1, 0, coords) - (-f2)), np.abs(bracket(2, 0, coords) - f1),
+                    np.abs(bracket(2, 1, coords) - f0)]
+
+    g1, g2, _ = iso.sl2_basis()
+    ratio_gaps, gram_gaps = [], []
+    for point in push:
+        p = iso.APoint(*point)
+        base = iso.psi_of_apoint(p)
+
+        def moved(index, t):
+            q = rk4_step_chart([iso._UNIT_CONTROLS[index]], t, iso._FLOW_STEPS, p)
+            return iso.psi_of_apoint(iso.APoint(*q))
+
+        r1, r2 = (max(float(np.max(np.abs((moved(i, eps) - base) / eps - base @ gen)))
+                      for i, gen in ((1, g1), (2, g2))) for eps in (1e-3, 5e-4))
+        ratio_gaps.append(abs(r2 / r1 - 0.5))
+        horizontal = []
+        for index in (1, 2):
+            v = np.linalg.inv(base) @ (moved(index, h) - moved(index, -h)) / (2.0 * h)
+            horizontal.append((v[0, 0] - v[1, 1], v[0, 1] + v[1, 0]))
+        gram = np.array([[a[0] * b[0] + a[1] * b[1] for b in horizontal] for a in horizontal])
+        gram_gaps.append(np.abs(gram - np.eye(2)))
+    return {"frame_commutators_fd": float(np.max(fd_gaps)),
+            "pushforward_decay": max(ratio_gaps),
+            "pushforward_orthonormality": float(np.max(gram_gaps))}
 
 
 class TestCertification:
@@ -687,6 +785,16 @@ class TestCertification:
         for name, want in scalar_psi_rows(50, seed).items():
             assert abs(rows[name] - want) <= 1e-12, name
 
+    @pytest.mark.parametrize("seed", [42, 7919, *range(1, 11)])
+    def test_frame_rows_are_the_per_point_loop_to_the_bit(self, seed, monkeypatch):
+        # The bracket and pushforward rows check their draws in array
+        # passes, the pushforward flights as lanes of one chart flight.  The
+        # Nagano flights draw nothing and are not under test here.
+        monkeypatch.setattr(iso, "nagano_check", lambda controls, *args: np.zeros(len(controls)))
+        rows = {r.name: r.max_residual for r in iso.run_certification(50, seed)}
+        want = scalar_frame_rows(50, seed)
+        assert {name: rows[name] for name in want} == want
+
     @pytest.mark.parametrize("seed", [42, 7919])
     def test_psi_rows_read_their_draw_in_column_order(self, seed, monkeypatch):
         # The rows' maxima are all at rounding level, so a draw read in the
@@ -694,7 +802,7 @@ class TestCertification:
         # the rows evaluate is at the scalar loop's (t1, t2, t0), and Psi's
         # determinant at its chart points, entry for entry.
         samples = 3  # 60 draws: no other call in the battery has that many
-        times, points = (np.array(v).T for v in zip(*scalar_psi_draws(samples, seed)))
+        times, points = (np.array(v).T for v in zip(*battery_draws(samples, seed)[1]))
         seen_t, seen_p = [], []
         real_F, real_psi = iso.map_F, iso.psi_of_apoint
 
@@ -726,10 +834,12 @@ class TestCertification:
     )
 
     @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(entries=st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY))
-    def test_any_constant_psi_gives_rows_and_fails_non_finite_ones(self, entries):
+    @given(entries=st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY), scalar=st.booleans())
+    @example(entries=(1.0, 0.0, 0.0, 1.0), scalar=True)
+    def test_any_constant_psi_gives_rows_and_fails_non_finite_ones(self, entries, scalar):
+        # Entries of the point's shape, or plain floats that do not broadcast with it.
         def psi(rho, theta, phi):
-            return tuple(np.full(np.shape(rho), e) for e in entries)
+            return entries if scalar else tuple(np.full(np.shape(rho), e) for e in entries)
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
