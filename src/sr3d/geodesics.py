@@ -23,11 +23,13 @@ floats, (2) builds every step's propagator in one call on numpy arrays
 g_n = g_0 P_0 ... P_{n-1} by one prefix product a block (:func:`_prefix_products`),
 unit quaternions renormalized at every step.  The covector flies by the
 loop :func:`_rk4_floats`, its stages written out on three locals; arrays
-(these propagators, the lanes of :func:`sr3d.isometry.integrate_chart`)
 take the one step :func:`_rk4_step`, with the same float operations in the
-same order.  :func:`vertical_rhs` alone holds the covector
-equations, on floats or arrays.  :func:`integrate_controls` flies no RK4: a
-constant control's flow is exactly g exp(t M), one closed form per segment.
+same order: these propagators, and the chart flight of
+:func:`sr3d.isometry.integrate_chart`, which is split the same way (z alone,
+then every step's affine propagator in one call, then a sequential fold).
+:func:`vertical_rhs` alone holds the covector equations, on floats or arrays.
+:func:`integrate_controls` flies no RK4: a constant control's flow is exactly
+g exp(t M), one closed form per segment.
 
 Shooting (:func:`shoot_distance`) flies no RK4.  The four models are the
 chi = 0 classes, whose normal geodesics have closed forms, written out entry
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from typing import IO, List, NamedTuple, Sequence, Tuple
@@ -298,13 +301,22 @@ class Trajectory:
         return float(np.max(np.abs(h - h[0])))
 
 
+def _check_steps(steps) -> None:
+    """ValueError unless ``steps``, a flight's RK4 step count, is an integer >= 1."""
+    if not isinstance(steps, numbers.Integral):
+        raise ValueError("steps must be an integer >= 1")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+
+
 def _rk4_step(rhs, state, dt):
     """One classical RK4 step of x' = rhs(x).
 
     ``state`` is a flat list of numpy arrays with one leading batch axis;
     ``rhs`` maps such a list to one of the same layout.  Returns the new
-    state without projecting or checking it.  The propagators and the chart's
-    lanes step by it; the covector's three floats run :func:`_rk4_floats`.
+    state without projecting or checking it.  The geodesic propagators, and
+    the chart's z and its propagators, step by it; the covector's three
+    floats run :func:`_rk4_floats`.
     """
     half = 0.5 * dt
     k1 = rhs(state)
@@ -406,8 +418,7 @@ def integrate_geodesic(
     one prefix product of its propagators: no per-step loop on the group
     side, and no temporary the size of the trajectory.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    _check_steps(steps)
     dt = float(t_final) / steps
     g0 = np.array(initial.g, dtype=float)
     covectors = np.empty((steps + 1, 3))

@@ -251,6 +251,12 @@ class TestIntegration:
             )
         assert err.value.step > 0
 
+    @pytest.mark.parametrize("steps", [240.0, 2.5])
+    def test_step_counts_that_are_not_integers_are_a_value_error(self, models, steps):
+        model = models["sl2"]
+        with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+            integrate_geodesic(model, model.frame, start(model, 1, 0, 0), 1.0, steps)
+
 
 def numpy_rk4(model, frame, cov, t_final, steps):
     """Reference: classical RK4 on numpy arrays with the model's own products.

@@ -287,21 +287,51 @@ def exact_sl2(controls, t_final):
     return g
 
 
+def assert_split_flight_close(got, want):
+    """The split chart flight against a stepped one: z to the bit, x and y
+    within 1e-13 relative to 1 + |reference| (they are composed, not stepped)."""
+    (x, y, z), (wx, wy, wz) = got, want
+    assert z == wz
+    for a, b in ((x, wx), (y, wy)):
+        assert abs(a - b) <= 1e-13 * (1.0 + abs(b)), (a, b)
+
+
+def float_chart_field(u1, u2, u0):
+    """The chart field of one control on a list of three floats, on math.sin and math.cos."""
+    def rhs(p):
+        _, y, z = p
+        s, c = math.sin(z), math.cos(z)
+        return [u1 * y * s - u2 * y * c, -u1 * y * c - u2 * y * s, -u1 * s + u2 * c - u0]
+
+    return rhs
+
+
 def rk4_step_chart(controls, t_final, steps, start):
     """Reference: the chart flight as _rk4_step on a list of three floats,
     over one closure per segment."""
     state = [start.x, start.y, start.z]
     seg_steps = max(1, steps // len(controls))
     dt = t_final / len(controls) / seg_steps
-    for u1, u2, u0 in controls:
-        def rhs(p):
-            _, y, z = p
-            s, c = math.sin(z), math.cos(z)
-            return [u1 * y * s - u2 * y * c, -u1 * y * c - u2 * y * s, -u1 * s + u2 * c - u0]
-
+    for u in controls:
+        rhs = float_chart_field(*u)
         for _ in range(seg_steps):
             state = _rk4_step(rhs, state, dt)
     return state
+
+
+def split_chart(controls, t_final, steps, start):
+    """Reference: the split chart flight on floats, one step at a time: the
+    propagator (px, py, z) is the _rk4_step from (0, -1, z), then
+    y -> y (-py) and x -> x - y px."""
+    x, y, z = start.x, start.y, start.z
+    seg_steps = max(1, steps // len(controls))
+    dt = t_final / len(controls) / seg_steps
+    for u in controls:
+        rhs = float_chart_field(*u)
+        for _ in range(seg_steps):
+            px, py, z = _rk4_step(rhs, [0.0, -1.0, z], dt)
+            x, y = x - y * px, y * -py
+    return [x, y, z]
 
 
 class TestControlFlows:
@@ -320,7 +350,7 @@ class TestControlFlows:
             ends = iso.integrate_chart(schedules, 1.0, steps, start=start)
             for lane, (schedule, p) in enumerate(zip(schedules, starts)):
                 got = [ends.x[lane], ends.y[lane], ends.z[lane]]
-                assert got == rk4_step_chart(schedule, 1.0, steps, p), (steps, lane)
+                assert_split_flight_close(got, rk4_step_chart(schedule, 1.0, steps, p))
         # One schedule, from an array as from tuples, flies to its lane's floats.
         q = iso.integrate_chart(schedule, 1.0, steps, start=random_start)
         assert isinstance(q.x, float) and [q.x, q.y, q.z] == got
@@ -355,8 +385,7 @@ class TestControlFlows:
             schedule = [tuple(rng.uniform(-1, 1, size=3)) for _ in range(n_seg)]
             steps = int(rng.integers(100, 2000))
             q = iso.integrate_chart(schedule, 1.0, steps)
-            assert max(abs(a - b) for a, b in zip((q.x, q.y, q.z),
-                                                  reference_chart(schedule, 1.0, steps))) <= 1e-15
+            assert_split_flight_close((q.x, q.y, q.z), reference_chart(schedule, 1.0, steps))
             want = exact_sl2(schedule, 1.0)
             x = iso.integrate_sl2(schedule, 1.0, steps)
             assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
@@ -438,6 +467,12 @@ class TestControlFlows:
             with pytest.raises(ValueError, match="steps must be >= 1"):
                 flow([(0.3, 0.1, 0.2)], 1.0, steps)
 
+    @pytest.mark.parametrize("steps", [240.0, 2.5])
+    def test_step_counts_that_are_not_integers_are_a_value_error(self, steps):
+        for flow in (iso.integrate_chart, iso.nagano_check):
+            with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+                flow([(0.1, 0.2, 0.3)], 1.0, steps)
+
     def test_infinite_z_inside_a_segment_raises_by_its_end(self):
         # z reaches -inf on the first step; sin(-inf) on the second must not
         # escape as a bare ValueError.
@@ -463,8 +498,8 @@ class TestBatchedFlight:
         assert not single and n.tolist() == [len(s) for s in batch]
         ends = iso.integrate_chart(batch, 1.0, steps)
         for lane, schedule in enumerate(batch):
-            want = rk4_step_chart(schedule, 1.0, steps, iso.IDENTITY_APOINT)
-            assert [x[lane] for x in (ends.x, ends.y, ends.z)] == want, (steps, lane)
+            q = iso.integrate_chart(schedule, 1.0, steps)
+            assert [x[lane] for x in (ends.x, ends.y, ends.z)] == [q.x, q.y, q.z], (steps, lane)
 
     def test_a_start_per_lane_is_each_lane_flown_alone(self, rng):
         batch = schedules_of_every_length(rng, 2)
@@ -509,8 +544,8 @@ class TestBatchedFlight:
 
     @pytest.mark.parametrize("seed", [42, 7919])
     def test_rows_are_the_per_schedule_flights_to_the_bit(self, seed, monkeypatch):
-        # The schedules the battery drew, flown one at a time by the float
-        # reference chart flight and the exact SL(2) product.
+        # The schedules the battery drew, flown one at a time by single
+        # integrate_chart calls and the exact SL(2) product.
         nagano, batches = iso.nagano_check, []
 
         def recorded(controls, *args):
@@ -523,7 +558,7 @@ class TestBatchedFlight:
         sl2 = build_model("sl2")
 
         def gap(schedule, steps):
-            q = iso.APoint(*rk4_step_chart(schedule, 1.0, steps, iso.IDENTITY_APOINT))
+            q = iso.integrate_chart(schedule, 1.0, steps)
             return float(np.max(np.abs(iso.psi_of_apoint(q) - integrate_controls(sl2, schedule, 1.0))))
 
         fine = [gap(s, iso.NAGANO_STEPS) for s in batches[0]]
@@ -544,6 +579,80 @@ class TestBatchedFlight:
         finally:
             tracemalloc.stop()
         assert peak <= 2048 * len(batch)
+
+
+class TestSplitFlight:
+    """The chart flies in blocks: z alone, every step's propagator from
+    (0, -1, z_n) in one call, then a sequential fold from the carried state.
+    400 lanes fly in blocks of a few steps; one to three lanes fly
+    ``NAGANO_STEPS`` in one block."""
+
+    LANES = 400
+
+    def test_propagator_z_is_the_flown_z_to_the_bit(self, rng, monkeypatch):
+        calls = []
+
+        def recorded(rhs, state, dt):
+            out = _rk4_step(rhs, state, dt)
+            calls.append((state, out))
+            return out
+
+        monkeypatch.setattr(iso, "_rk4_step", recorded)
+        batch = schedules_of_every_length(rng, self.LANES // 5)
+        ends = iso.integrate_chart(batch, 1.0, 60)
+        flown, blocks = [], 0
+        for state, out in calls:
+            if len(state) == 1:
+                flown.append(out[0])
+                continue
+            assert state[:2] == [0.0, -1.0]
+            assert np.array_equal(out[2], flown[-len(out[2]):])
+            blocks += 1
+        assert len(flown) == 60 and blocks > 1
+        assert np.array_equal(flown[-1], ends.z)
+
+    def test_each_lane_is_the_split_flight_on_floats_to_the_bit(self, rng):
+        # The fold is sequential, so every lane, in blocks of a few steps
+        # or alone in one block, is the float reference to the bit.
+        batch = schedules_of_every_length(rng, self.LANES // 5)
+        starts = iso._draw(rng, len(batch), iso._POINT_BOX)
+        ends = iso.integrate_chart(batch, 1.0, 60, start=iso.APoint(*starts.T))
+        for lane in range(0, len(batch), 37):
+            want = split_chart(batch[lane], 1.0, 60, iso.APoint(*starts[lane]))
+            assert [ends.x[lane], ends.y[lane], ends.z[lane]] == want, lane
+        q = iso.integrate_chart(batch[-1], 1.0, iso.NAGANO_STEPS, iso.APoint(*starts[-1]))
+        assert [q.x, q.y, q.z] == split_chart(batch[-1], 1.0, iso.NAGANO_STEPS,
+                                              iso.APoint(*starts[-1]))
+
+    def test_a_lane_is_the_same_floats_alone_and_in_any_batch(self, rng):
+        assert iso._CHART_BLOCK // self.LANES < iso.NAGANO_STEPS <= iso._CHART_BLOCK // 3
+        lane = rng.uniform(-1, 1, size=(3, 3))
+        start = iso.APoint(*iso._draw(rng, 1, iso._POINT_BOX)[0].tolist())
+        others = schedules_of_every_length(rng, self.LANES // 5)[1:]
+        alone = iso.integrate_chart(lane, 1.0, iso.NAGANO_STEPS, start)
+        for batch in ([others[0], lane, others[1]], others[:200] + [lane] + others[200:]):
+            starts = iso.APoint(*(np.full(len(batch), c) for c in (start.x, start.y, start.z)))
+            ends = iso.integrate_chart(batch, 1.0, iso.NAGANO_STEPS, starts)
+            i = next(i for i, s in enumerate(batch) if s is lane)
+            assert [ends.x[i], ends.y[i], ends.z[i]] == [alone.x, alone.y, alone.z], len(batch)
+
+    def test_blow_up_in_a_later_block_reads_its_segment_end(self, rng):
+        # Alone, a lane flies blocks of _CHART_BLOCK steps: the last of 10
+        # segments of 300 steps goes non-finite after step 2700, a block in.
+        assert iso._CHART_BLOCK < 2700
+        late = [(0.1, 0.2, 0.3)] * 9 + [(1e5, 0.0, 0.0)]
+        with pytest.raises(IntegrationBlowUpError, match="by step 3000"):
+            iso.integrate_chart(late, 1.0, 3000)
+        # Among 400 lanes, blocks are a few steps long: segment 3 of 3 goes
+        # non-finite after step 160, many blocks in, and reads its end, 240.
+        late = [(0.1, 0.2, 0.3)] * 2 + [(1e5, 0.0, 0.0)]
+        batch = schedules_of_every_length(rng, self.LANES // 5)
+        batch[137] = late
+        with pytest.raises(IntegrationBlowUpError, match="by step 240") as alone:
+            iso.integrate_chart(late, 1.0, iso.NAGANO_STEPS)
+        with pytest.raises(IntegrationBlowUpError, match="by step 240") as lane:
+            iso.integrate_chart(batch, 1.0, iso.NAGANO_STEPS)
+        assert alone.value.step == lane.value.step == 240
 
 
 class TestNonFiniteChart:
@@ -663,14 +772,12 @@ def scalar_psi_rows(samples, seed):
 
 def math_field(index, c):
     """The chart field of unit control ``index`` at the float point c, on math.sin and math.cos."""
-    (u1, u2, u0), (_, y, z) = iso._UNIT_CONTROLS[index], c
-    s, co = math.sin(z), math.cos(z)
-    return np.array([u1 * y * s - u2 * y * co, -u1 * y * co - u2 * y * s, -u1 * s + u2 * co - u0])
+    return np.array(float_chart_field(*iso._UNIT_CONTROLS[index])(c))
 
 
 def scalar_frame_rows(samples, seed):
     """Reference: the bracket and pushforward rows as a loop over their
-    points, on float chart fields and rk4_step_chart flights."""
+    points, on float chart fields and single integrate_chart flights."""
     fd, _, push = battery_draws(samples, seed)
     h = iso._FD_STEP
     f0 = math_field(0, (0.0, -1.0, 0.0))
@@ -698,8 +805,8 @@ def scalar_frame_rows(samples, seed):
         base = iso.psi_of_apoint(p)
 
         def moved(index, t):
-            q = rk4_step_chart([iso._UNIT_CONTROLS[index]], t, iso._FLOW_STEPS, p)
-            return iso.psi_of_apoint(iso.APoint(*q))
+            return iso.psi_of_apoint(iso.integrate_chart([iso._UNIT_CONTROLS[index]], t,
+                                                         iso._FLOW_STEPS, p))
 
         r1, r2 = (max(float(np.max(np.abs((moved(i, eps) - base) / eps - base @ gen)))
                       for i, gen in ((1, g1), (2, g2))) for eps in (1e-3, 5e-4))
